@@ -63,21 +63,21 @@ def weil_height(x: ProjPoint) -> float:
     return math.log(max(abs(x.x0), abs(x.x1)))
 
 
-def contributing_primes(F: HomogeneousLift) -> list:
-    """Primes that can carry a nonzero local height for coprime points."""
-    return sorted(prime_factors_abs(F.resultant))
-
-
 def canonical_height(
     F: HomogeneousLift, x: ProjPoint, n_iter: int = DEFAULT_ITERS
 ) -> HeightBreakdown:
     """Certified canonical height of x as a sum of local heights."""
     if not F.content_normalized:
         raise InputError("canonical height requires a content-normalized lift")
-    lift = x.lift()
-    rows = [(Place.archimedean(), hom_local_height(F, lift, Place.archimedean(), n_iter))]
-    for p in contributing_primes(F):
-        rows.append((Place.finite(p), hom_local_height(F, lift, Place.finite(p), n_iter)))
+    return canonical_height_from_heights(
+        F, x, lambda z, place: hom_local_height(F, z.lift(), place, n_iter)
+    )
+
+
+def canonical_height_from_heights(F: HomogeneousLift, x: ProjPoint, height) -> HeightBreakdown:
+    """The place sum of ``canonical_height``, with height(x, v) = H_v(x)."""
+    places = [Place.archimedean()] + [Place.finite(p) for p in F.resultant_primes]
+    rows = [(v, height(x, v)) for v in places]
     total = rows[0][1]
     for _, cv in rows[1:]:
         total = total + cv
@@ -110,23 +110,30 @@ def functional_check(
     return ResidualReport(abs(lhs - rhs), budget, lhs, rhs)
 
 
+def pair_places(F: HomogeneousLift, x: ProjPoint, y: ProjPoint) -> list:
+    """The places where g_v(x, y) can be nonzero, archimedean first.
+
+    These are the archimedean place, the primes dividing Res(F) and the
+    primes dividing the wedge of the canonical lifts; every other g_v
+    vanishes exactly.
+    """
+    primes = set(F.resultant_primes) | set(prime_factors_abs(x.wedge(y)))
+    return [Place.archimedean()] + [Place.finite(p) for p in sorted(primes)]
+
+
 def pairing_identity_check(
     F: HomogeneousLift, x: ProjPoint, y: ProjPoint, n_iter: int = DEFAULT_ITERS
 ) -> ResidualReport:
     """Residual of: sum over places of g_v(x, y) = h(x) + h(y).
 
-    The place sum runs over the archimedean place, the primes dividing
-    Res(F), and the primes dividing the wedge of the canonical lifts; all
-    other places vanish exactly.  The identity is the product formula
-    applied to the wedge and resultant terms of the pairing.
+    The place sum runs over ``pair_places``; all other places vanish
+    exactly.  The identity is the product formula applied to the wedge and
+    resultant terms of the pairing.
     """
     if x == y:
         raise InputError("pairing identity needs distinct points")
-    places = [Place.archimedean()]
-    primes = set(contributing_primes(F)) | set(prime_factors_abs(x.wedge(y)))
-    places.extend(Place.finite(p) for p in sorted(primes))
     lhs = CertifiedValue.exact_zero()
-    for v in places:
+    for v in pair_places(F, x, y):
         lhs = lhs + green_pairing(F, x, y, v, n_iter)
     hx = canonical_height(F, x, n_iter).total
     hy = canonical_height(F, y, n_iter).total

@@ -15,7 +15,6 @@ next to their s log s context rather than checked against it.
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -23,12 +22,14 @@ from .arith import ord_fraction, prime_factors_abs
 from .canonical import (
     DEFAULT_ITERS,
     canonical_height,
+    canonical_height_from_heights,
     height_gap_constant,
+    pair_places,
     weil_height,
 )
 from .certified import CertifiedValue
 from .errors import DuplicatePointsError, InputError
-from .local_heights import green_pairing
+from .local_heights import green_pairing_from_heights, hom_local_height
 from .maps_core import (
     HomogeneousLift,
     Place,
@@ -36,7 +37,7 @@ from .maps_core import (
     apply_map,
     milnor_invariants,
 )
-from .reduction import ResultantHeight, bad_places, h_res
+from .reduction import ResultantHeight, h_res
 
 _ENERGY_TABLE_CAP = 60
 _ORBIT_BUDGET_CAP = 1_000_000
@@ -326,7 +327,6 @@ def small_height_census(
     t_fraction: float,
     search_bound: float,
     n_iter: int = DEFAULT_ITERS,
-    threads: int = 1,
 ) -> CensusReport:
     """Count searched points with certified canonical height <= threshold.
 
@@ -350,19 +350,10 @@ def small_height_census(
     budget = _orbit_budget(F, bound)
     points = enumerate_points(search_bound)
     warnings = list(rh.warnings)
-
-    def work(x):
-        return _census_row(F, x, bound, budget, threshold, n_iter)
-
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            results = list(pool.map(work, points))
-    else:
-        results = [work(x) for x in points]
-
     rows = []
     pre_count = 0
-    for row, counted, status in results:
+    for x in points:
+        row, counted, status = _census_row(F, x, bound, budget, threshold, n_iter)
         if status == "undecided":
             warnings.append(f"orbit budget exhausted at {row.point}")
         if row.preperiodic:
@@ -473,11 +464,6 @@ def height_gap_probe(
 # ---------------------------------------------------------------------------
 
 
-def _pair_places(F: HomogeneousLift, x: ProjPoint, y: ProjPoint) -> list:
-    primes = set(prime_factors_abs(F.resultant)) | set(prime_factors_abs(x.wedge(y)))
-    return [Place.archimedean()] + [Place.finite(p) for p in sorted(primes)]
-
-
 def energy_sum(
     F: HomogeneousLift, points, v, n_iter: int = DEFAULT_ITERS
 ) -> EnergyReport:
@@ -486,7 +472,9 @@ def energy_sum(
     ordered = sum over i != j, unordered = sum over i < j (the pairing is
     symmetric, so ordered = 2 * unordered).  With v = "all" the ordered
     total is additionally compared against 2 (N-1) * sum of canonical
-    heights, which it must match within the accumulated error.
+    heights, which it must match within the accumulated error.  Each local
+    height H_v(x) is computed once per call and shared by every pair term
+    and canonical height that uses it.
     """
     F = F.normalized()
     pts = list(points)
@@ -494,22 +482,27 @@ def energy_sum(
         raise InputError("energy sums need at least two points")
     if len(set(pts)) != len(pts):
         raise DuplicatePointsError("energy sum points must be pairwise distinct")
+    local = {}
+
+    def height(x: ProjPoint, place: Place) -> CertifiedValue:
+        if (x, place) not in local:
+            local[x, place] = hom_local_height(F, x.lift(), place, n_iter)
+        return local[x, place]
+
     all_places = v == "all"
     unordered = CertifiedValue.exact_zero()
     for i in range(len(pts)):
         for j in range(i + 1, len(pts)):
-            if all_places:
-                for place in _pair_places(F, pts[i], pts[j]):
-                    unordered = unordered + green_pairing(F, pts[i], pts[j], place, n_iter)
-            else:
-                unordered = unordered + green_pairing(F, pts[i], pts[j], v, n_iter)
+            x, y = pts[i], pts[j]
+            for place in pair_places(F, x, y) if all_places else [v]:
+                unordered = unordered + green_pairing_from_heights(F, x, y, place, height)
     ordered = unordered.scale(2.0)
     n = len(pts)
     report_kwargs = {}
     if all_places:
         total_h = CertifiedValue.exact_zero()
         for x in pts:
-            total_h = total_h + canonical_height(F, x, n_iter).total
+            total_h = total_h + canonical_height_from_heights(F, x, height).total
         expected = 2.0 * (n - 1) * total_h.value
         report_kwargs = {
             "identity_expected": expected,
@@ -601,9 +594,8 @@ def comparison_scatter(maps) -> ComparisonTable:
             raise InputError("comparison scatter is defined for quadratic maps only")
         inv = milnor_invariants(F)
         rh = h_res(F)
-        report = bad_places(F)
-        bad = dict(report.bad_primes)
-        primes = set(prime_factors_abs(F.resultant)) | set(bad)
+        bad = dict(rh.finite_terms)
+        primes = set(F.resultant_primes)
         for s in (inv.sigma1, inv.sigma2):
             primes |= set(prime_factors_abs(s.denominator))
         local = []

@@ -3,12 +3,15 @@
 One subcommand per library operation, machine-readable output on stdout
 (JSON by default, CSV for the census), diagnostics and the run manifest on
 stderr.  Exit status: 0 on success, 2 on invalid input, 3 when a result is
-uncertified (an iteration or descent budget ran out).
+uncertified: an iteration or descent budget ran out, or the arithmetic
+left the range where the result can be certified (for instance
+coefficients too large for a float); in that last case nothing is written
+to stdout.
 
 Output bytes are a deterministic function of the command line and input
 files: dictionaries are serialized with sorted keys, floats with their
 shortest round-trip representation, and all internal reductions run in a
-fixed order regardless of --threads.
+fixed order.
 """
 
 from __future__ import annotations
@@ -94,7 +97,6 @@ def _build_parser() -> argparse.ArgumentParser:
             sp.add_argument("--iters", type=int, default=DEFAULT_ITERS, metavar="N")
         if with_format:
             sp.add_argument("--format", choices=("json", "csv"), default="json")
-        sp.add_argument("--threads", type=int, default=1, metavar="N")
         return sp
 
     add("resultant", "Sylvester resultant of the lift as given in the file")
@@ -190,9 +192,7 @@ def _run_command(args):
         }, False, F
     if cmd == "census":
         F = load_map(args.map)
-        rep = small_height_census(
-            F, args.t_fraction, args.bound, n_iter=args.iters, threads=args.threads
-        )
+        rep = small_height_census(F, args.t_fraction, args.bound, n_iter=args.iters)
         uncertified = any("budget" in w for w in rep.warnings)
         if args.plot:
             _write_scatter_svg(args.plot, rep)
@@ -274,12 +274,12 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         payload, uncertified, lift = _run_command(args)
-    except InputError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
     except DynheightsError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except ArithmeticError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 3
 
     fmt = getattr(args, "format", "json")
     if fmt == "csv":
@@ -295,7 +295,7 @@ def main(argv=None) -> int:
     sys.stdout.flush()
 
     budgets = {}
-    for key in ("iters", "bound", "budget", "steps", "t_fraction", "threads"):
+    for key in ("iters", "bound", "budget", "steps", "t_fraction"):
         if hasattr(args, key):
             budgets[key] = getattr(args, key)
     manifest = RunManifest(

@@ -28,21 +28,9 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .arith import ord_fraction, ord_int
-from .certified import CertifiedValue, log_abs_certified, log_rational_multiple
+from .certified import _EPS, CertifiedValue, _up, log_abs_certified, log_rational_multiple
 from .errors import DiagonalPairingError, EscapePreconditionError, InputError
-from .maps_core import (
-    HomogeneousLift,
-    Place,
-    ProjPoint,
-    sylvester_cofactor_pair,
-)
-
-_EPS = 2.220446049250313e-16
-
-
-def _up(x: float) -> float:
-    return math.nextafter(x, math.inf)
-
+from .maps_core import HomogeneousLift, Place, ProjPoint
 
 # ---------------------------------------------------------------------------
 # Step error constants and escape radii
@@ -75,20 +63,6 @@ class EscapeRadius:
     exponent: Fraction | None = None
 
 
-def cofactor_sup_bound(F: HomogeneousLift) -> int:
-    """Exact integer A' with sup_{||z||<=1} |g(z)| <= A' for all four cofactor forms.
-
-    The l1 norm of a form's coefficients bounds its sup over the unit
-    polydisc; the coefficients here are signed (2d-1)-minors of the
-    Sylvester matrix.
-    """
-    best = 0
-    for target_x in (True, False):
-        u, v = sylvester_cofactor_pair(F, target_x)
-        best = max(best, sum(abs(c) for c in u), sum(abs(c) for c in v))
-    return max(best, 1)
-
-
 def step_error_constants(F: HomogeneousLift, v: Place) -> StepErrorConstant:
     """Certified per-step bounds for the local height telescoping series."""
     if not F.content_normalized:
@@ -96,10 +70,9 @@ def step_error_constants(F: HomogeneousLift, v: Place) -> StepErrorConstant:
     d = F.d
     if v.is_archimedean:
         U = _up(math.log((d + 1) * F.max_abs_coeff()))
-        aprime = cofactor_sup_bound(F)
         # L = log(|Res| / (2 A')), rounded downward (toward -inf) to stay a bound
         L = math.nextafter(
-            math.log(abs(F.resultant)) - math.log(2 * aprime), -math.inf
+            math.log(abs(F.resultant)) - math.log(2 * F.cofactor_bound), -math.inf
         )
         L = math.nextafter(L - 4.0 * _EPS * (abs(L) + 1.0), -math.inf)
         return StepErrorConstant(v, U, min(L, 0.0))
@@ -122,8 +95,7 @@ def escape_radius(F: HomogeneousLift, v: Place) -> EscapeRadius:
         raise InputError("escape radius requires a content-normalized lift")
     d = F.d
     if v.is_archimedean:
-        aprime = cofactor_sup_bound(F)
-        r = (2.0 * aprime / abs(F.resultant)) ** (1.0 / (d - 1))
+        r = (2.0 * F.cofactor_bound / abs(F.resultant)) ** (1.0 / (d - 1))
         return EscapeRadius(v, max(1.0, _up(r)))
     e = ord_int(F.resultant, v.prime)
     exponent = Fraction(e, d - 1)
@@ -281,22 +253,36 @@ def green_pairing(
         raise DiagonalPairingError(f"green pairing at the diagonal: {x}")
     if not F.content_normalized:
         raise InputError("green pairing requires a content-normalized lift")
+    return green_pairing_from_heights(
+        F, x, y, v, lambda z, place: hom_local_height(F, z.lift(), place, n_iter)
+    )
+
+
+def green_pairing_from_heights(
+    F: HomogeneousLift, x: ProjPoint, y: ProjPoint, v: Place, height
+) -> CertifiedValue:
+    """The formula of ``green_pairing`` for distinct x, y, with height(z, v) = H_v(z).
+
+    height is called only where the pairing needs it, and the terms are
+    added in a fixed order, so a caller that already holds the local
+    heights gets the same bytes.
+    """
     d = F.d
     c = d * (d - 1)
     w = x.wedge(y)
     res = F.resultant
     if v.is_archimedean:
         total = -log_abs_certified(w)
-        total = total + hom_local_height(F, x.lift(), v, n_iter)
-        total = total + hom_local_height(F, y.lift(), v, n_iter)
+        total = total + height(x, v)
+        total = total + height(y, v)
         total = total - log_abs_certified(res).div_int(c)
         return total
     p = v.prime
     if w % p != 0 and res % p != 0:
         return CertifiedValue.exact_zero()
     total = log_rational_multiple(ord_int(w, p), p)  # -log|w|_p
-    total = total + hom_local_height(F, x.lift(), v, n_iter)
-    total = total + hom_local_height(F, y.lift(), v, n_iter)
+    total = total + height(x, v)
+    total = total + height(y, v)
     total = total + log_rational_multiple(Fraction(ord_int(res, p), c), p)
     return total
 

@@ -14,9 +14,13 @@ Conventions fixed here and used by every other module:
 * ``sylvester_resultant`` is the determinant of the 2d x 2d Sylvester
   matrix of the dehomogenized forms, zero leading coefficients kept, so
   e.g. Res(x^2, y^2) = 1 and Res(c*P, Q) = c^d Res(P, Q).
-* ``conjugate(F, phi)`` is a lift of phi o f o phi^{-1}; computed as
-  M o F o adj(M) (same projective map as with M^{-1}, but integral),
-  then content-normalized.
+* ``conjugate(F, phi)`` is a lift of phi o f o phi^{-1}; computed over
+  the integers as M o F o adj(M), with M the matrix of phi scaled to
+  integer entries (same projective map as with M^{-1}), then
+  content-normalized.
+* A content-normalized ``HomogeneousLift`` is the per-map context: its
+  resultant, the primes dividing it and the cofactor bound A' are computed
+  once, on first use, and cached on the (immutable) lift.
 """
 
 from __future__ import annotations
@@ -26,7 +30,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 
-from .arith import abs_p, bareiss_det, content, det_fraction, is_prime
+from .arith import abs_p, bareiss_det, content, det_fraction, is_prime, prime_factors_abs
 from .certified import CertifiedValue, log_abs_certified
 from .errors import (
     DegenerateMapError,
@@ -132,14 +136,6 @@ class BinaryForm:
         return max(abs(c) for c in self.coeffs)
 
 
-def _form_from_fractions(coeffs_asc) -> tuple:
-    """Clear denominators of an ascending Fraction coefficient list -> int tuple."""
-    den = 1
-    for c in coeffs_asc:
-        den = den * c.denominator // math.gcd(den, c.denominator)
-    return tuple(int(c * den) for c in coeffs_asc), den
-
-
 # ---------------------------------------------------------------------------
 # Projective points
 # ---------------------------------------------------------------------------
@@ -243,10 +239,6 @@ class Mobius:
         den = u.denominator * v.denominator // math.gcd(u.denominator, v.denominator)
         return ProjPoint(int(u * den), int(v * den))
 
-    def is_integral_unimodular(self) -> bool:
-        entries = (self.a, self.b, self.c, self.d)
-        return all(e.denominator == 1 for e in entries) and abs(self.det) == 1
-
     def __str__(self) -> str:
         return f"[[{self.a},{self.b}],[{self.c},{self.d}]]"
 
@@ -284,6 +276,26 @@ class HomogeneousLift:
     def resultant(self) -> int:
         return sylvester_resultant(self.P, self.Q)
 
+    @cached_property
+    def resultant_primes(self) -> tuple:
+        """Sorted primes dividing Res: the only places where a unit-content lift
+        can reduce badly, or a coprime point have a nonzero local height."""
+        return tuple(sorted(prime_factors_abs(self.resultant)))
+
+    @cached_property
+    def cofactor_bound(self) -> int:
+        """Exact integer A' with sup_{||z||<=1} |g(z)| <= A' for all four cofactor forms.
+
+        The l1 norm of a form's coefficients bounds its sup over the unit
+        polydisc; the coefficients here are signed (2d-1)-minors of the
+        Sylvester matrix.
+        """
+        best = 0
+        for target_x in (True, False):
+            u, v = sylvester_cofactor_pair(self, target_x)
+            best = max(best, sum(abs(c) for c in u), sum(abs(c) for c in v))
+        return max(best, 1)
+
     @classmethod
     def from_coeffs(cls, p_asc, q_asc, normalized: bool = True) -> "HomogeneousLift":
         """Build from ascending coefficient lists; content-normalize by default."""
@@ -296,16 +308,9 @@ class HomogeneousLift:
 
     def normalized(self) -> "HomogeneousLift":
         """The canonical representative: content 1, first nonzero coordinate > 0."""
-        vec = self.coefficient_vector()
-        g = content(vec)
-        first = next(c for c in vec if c != 0)
-        if first < 0:
-            g = -g
-        if g == 1 and self.content_normalized:
+        if self.content_normalized and _canonical_scale(self.coefficient_vector()) == 1:
             return self
-        P = BinaryForm(tuple(c // g for c in self.P.coeffs))
-        Q = BinaryForm(tuple(c // g for c in self.Q.coeffs))
-        return HomogeneousLift(P, Q, content_normalized=True)
+        return _normalized_lift(self.P.coeffs, self.Q.coeffs)
 
     def scaled(self, c: int) -> "HomogeneousLift":
         """The lift (c*P, c*Q); same projective map, resultant scaled by c^(2d)."""
@@ -407,62 +412,69 @@ def apply_map(F: HomogeneousLift, x: ProjPoint) -> ProjPoint:
     return ProjPoint(F.P.evaluate_int(x.x0, x.x1), F.Q.evaluate_int(x.x0, x.x1))
 
 
-def _compose_form_matrix(coeffs_asc, m: Mobius) -> list:
-    """Ascending Fraction coefficients of C(alpha*x + beta*y, gamma*x + delta*y)."""
+def _canonical_scale(vec) -> int:
+    """The signed content g of a coefficient vector: vec / g has content 1 and
+    a positive first nonzero entry."""
+    g = content(vec)
+    return -g if next(c for c in vec if c != 0) < 0 else g
+
+
+def _normalized_lift(p_asc, q_asc) -> HomogeneousLift:
+    """The canonical lift (content 1, first nonzero coordinate > 0) of integer forms."""
+    g = _canonical_scale(tuple(p_asc[::-1]) + tuple(q_asc[::-1]))
+    return HomogeneousLift(
+        BinaryForm(tuple(c // g for c in p_asc)),
+        BinaryForm(tuple(c // g for c in q_asc)),
+        content_normalized=True,
+    )
+
+
+def _compose_form(coeffs_asc, alpha: int, beta: int, gamma: int, delta: int) -> list:
+    """Ascending integer coefficients of C(alpha*x + beta*y, gamma*x + delta*y)."""
     d = len(coeffs_asc) - 1
-    alpha, beta, gamma, delta = m.a, m.b, m.c, m.d
-    out = [Fraction(0)] * (d + 1)
+    apow, bpow, gpow, dpow = ([e**k for k in range(d + 1)] for e in (alpha, beta, gamma, delta))
+    out = [0] * (d + 1)
     for i, ci in enumerate(coeffs_asc):
         if ci == 0:
             continue
-        # (alpha x + beta y)^i expanded ascending in x
-        t1 = [Fraction(math.comb(i, k)) * alpha**k * beta ** (i - k) for k in range(i + 1)]
-        t2 = [
-            Fraction(math.comb(d - i, k)) * gamma**k * delta ** (d - i - k)
-            for k in range(d - i + 1)
-        ]
+        # (alpha x + beta y)^i and (gamma x + delta y)^(d-i), ascending in x
+        t1 = [math.comb(i, k) * apow[k] * bpow[i - k] for k in range(i + 1)]
+        t2 = [math.comb(d - i, k) * gpow[k] * dpow[d - i - k] for k in range(d - i + 1)]
         for k1, v1 in enumerate(t1):
             for k2, v2 in enumerate(t2):
                 out[k1 + k2] += ci * v1 * v2
     return out
 
 
+def _conjugate_forms(F: HomogeneousLift, m: tuple) -> tuple:
+    """Ascending integer forms (g0, g1) = M o F o adj(M) for M = ((a, b), (c, d)) over Z.
+
+    adj(M) = det(M) * M^{-1}, so this is det(M)^d times the lift through
+    M^{-1} and defines phi o f o phi^{-1}; Res(g0, g1) = det(M)^(d^2+d) Res(F).
+    """
+    (a, b), (c, d) = m
+    Pw = _compose_form(F.P.coeffs, d, -b, -c, a)
+    Qw = _compose_form(F.Q.coeffs, d, -b, -c, a)
+    g0 = [a * p + b * q for p, q in zip(Pw, Qw)]
+    g1 = [c * p + d * q for p, q in zip(Pw, Qw)]
+    return g0, g1
+
+
+def _integral_matrix(phi: Mobius) -> tuple:
+    """The matrix of phi scaled by the lcm of its denominators: same map, integer entries."""
+    entries = (phi.a, phi.b, phi.c, phi.d)
+    den = math.lcm(*(e.denominator for e in entries))
+    a, b, c, d = (e.numerator * (den // e.denominator) for e in entries)
+    return ((a, b), (c, d))
+
+
 def conjugate(F: HomogeneousLift, phi: Mobius) -> HomogeneousLift:
     """Content-normalized integer lift of phi o f o phi^{-1}.
 
-    Uses M o F o adj(M); adj(M) = det(M) * M^{-1}, so the raw result is
-    det(M)^d times the lift through M^{-1} and defines the same map.  On the
-    raw rational lift, Res = det(M)^(d^2+d) * Res(F) exactly.
+    Scaling phi's matrix does not change the projective map, so the integer
+    matrix of phi is used and all arithmetic is over Z.
     """
-    adj = phi.adjugate()
-    d = F.d
-    Pw = _compose_form_matrix([Fraction(c) for c in F.P.coeffs], adj)
-    Qw = _compose_form_matrix([Fraction(c) for c in F.Q.coeffs], adj)
-    g0 = [phi.a * Pw[k] + phi.b * Qw[k] for k in range(d + 1)]
-    g1 = [phi.c * Pw[k] + phi.d * Qw[k] for k in range(d + 1)]
-    den = 1
-    for c in g0 + g1:
-        den = den * c.denominator // math.gcd(den, c.denominator)
-    lift = HomogeneousLift(
-        BinaryForm(tuple(int(c * den) for c in g0)),
-        BinaryForm(tuple(int(c * den) for c in g1)),
-    )
-    return lift.normalized()
-
-
-def conjugate_raw(F: HomogeneousLift, phi: Mobius) -> tuple:
-    """The un-normalized conjugate as Fraction coefficient lists (g0, g1).
-
-    Satisfies Res(g0, g1) = det(phi)^(d^2+d) * Res(F) exactly; used by tests
-    that track the extracted content through normalization.
-    """
-    adj = phi.adjugate()
-    d = F.d
-    Pw = _compose_form_matrix([Fraction(c) for c in F.P.coeffs], adj)
-    Qw = _compose_form_matrix([Fraction(c) for c in F.Q.coeffs], adj)
-    g0 = [phi.a * Pw[k] + phi.b * Qw[k] for k in range(d + 1)]
-    g1 = [phi.c * Pw[k] + phi.d * Qw[k] for k in range(d + 1)]
-    return g0, g1
+    return _normalized_lift(*_conjugate_forms(F, _integral_matrix(phi)))
 
 
 # ---------------------------------------------------------------------------

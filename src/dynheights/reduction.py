@@ -23,7 +23,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .arith import is_prime, ord_fraction, prime_factors_abs
+from .arith import is_prime, ord_fraction
 from .errors import InputError, OracleRadiusError
 from .maps_core import HomogeneousLift, Mobius, Place, conjugate, normalized_resultant_abs
 
@@ -311,7 +311,7 @@ def bad_places(F: HomogeneousLift) -> BadReductionReport:
     certs = []
     warnings = []
     bad = []
-    for p in sorted(prime_factors_abs(F.resultant)):
+    for p in F.resultant_primes:
         cert = minimal_resultant_ord(F, p)
         certs.append(cert)
         if cert.capped:
@@ -334,7 +334,7 @@ def _arch_conjugator_family(F: HomogeneousLift, radius: int = 2) -> list:
     primes dividing Res(F), together with unit shears and the coordinate
     swap.  Deduplicated by matrix entries; size-capped for cost.
     """
-    primes = sorted({2, 3} | set(prime_factors_abs(F.resultant)))
+    primes = sorted({2, 3} | set(F.resultant_primes))
     gens = [
         Mobius(1, 1, 0, 1),
         Mobius(1, -1, 0, 1),

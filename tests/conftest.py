@@ -1,8 +1,15 @@
+import os
 import random
+from pathlib import Path
 
 import pytest
 
 from dynheights import HomogeneousLift
+
+# the CLI tests start child interpreters, which must import the package from
+# src/ as this process does
+_SRC = str(Path(__file__).resolve().parent.parent / "src")
+os.environ["PYTHONPATH"] = os.pathsep.join(filter(None, [_SRC, os.environ.get("PYTHONPATH")]))
 
 
 def lift(p_desc, q_desc, normalized=True):

@@ -159,13 +159,6 @@ def test_census_cubic_has_no_moduli_threshold():
     assert rep.searched == len(enumerate_points(math.log(3)))
 
 
-def test_census_threads_are_equivalent(z2_minus_1):
-    a = small_height_census(z2_minus_1, 0.2, math.log(4), threads=1)
-    b = small_height_census(z2_minus_1, 0.2, math.log(4), threads=4)
-    assert [r.to_json_dict() for r in a.rows] == [r.to_json_dict() for r in b.rows]
-    assert a.to_json_dict() == b.to_json_dict()
-
-
 # ---------------------------------------------------------------------------
 # Gap probe
 # ---------------------------------------------------------------------------

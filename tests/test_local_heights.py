@@ -19,7 +19,6 @@ from dynheights import (
     step_error_constants,
     verify_escape,
 )
-from dynheights.local_heights import cofactor_sup_bound
 from dynheights.maps_core import sylvester_cofactor_pair
 
 from conftest import lift, random_lift
@@ -48,7 +47,7 @@ def test_step_constants_monomial_arch(monomial):
     c = step_error_constants(monomial, INF)
     assert c.U == pytest.approx(math.log(3), rel=1e-12)
     # exact minors give A' = 1, so L = log(|Res| / 2A') = -log 2
-    assert cofactor_sup_bound(monomial) == 1
+    assert monomial.cofactor_bound == 1
     assert c.L == pytest.approx(-math.log(2), rel=1e-9)
 
 

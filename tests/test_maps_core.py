@@ -23,7 +23,7 @@ from dynheights import (
     sylvester_resultant,
 )
 from dynheights.arith import ord_int, prime_factors_abs
-from dynheights.maps_core import conjugate_raw, sylvester_matrix
+from dynheights.maps_core import _conjugate_forms, _integral_matrix, sylvester_matrix
 
 from conftest import lift, random_lift
 from oracles import naive_resultant, sigma_numeric
@@ -126,7 +126,9 @@ def test_conjugate_swap_fixes_monomial(monomial, inverse_square):
 
 
 def test_conjugate_resultant_transformation():
-    # on the raw (un-normalized) conjugate, Res = det(phi)^(d^2+d) Res(F)
+    # M is phi's matrix scaled to integer entries; on the raw integer conjugate
+    # M o F o adj(M), Res = det(M)^(d^2+d) Res(F), and conjugate() is its
+    # canonical lift, a lift of phi o f o phi^-1
     rng = random.Random(99)
     for _ in range(15):
         d = rng.choice([2, 3])
@@ -138,15 +140,18 @@ def test_conjugate_resultant_transformation():
         if a * dd - b * c == 0:
             continue
         phi = Mobius(a, b, c, dd)
-        g0, g1 = conjugate_raw(F, phi)
-        den = 1
-        for c in g0 + g1:
-            den = den * c.denominator // math.gcd(den, c.denominator)
-        P = BinaryForm(tuple(int(c * den) for c in g0))
-        Q = BinaryForm(tuple(int(c * den) for c in g1))
-        # Res scales by den^(2d) when clearing denominators
-        raw_res = Fraction(sylvester_resultant(P, Q), den ** (2 * d))
-        assert raw_res == phi.det ** (d * d + d) * F.resultant
+        m = _integral_matrix(phi)
+        (ma, mb), (mc, md) = m
+        assert all(type(e) is int for e in (ma, mb, mc, md))
+        scale = Fraction(ma) / phi.a
+        assert (mb, mc, md) == (scale * phi.b, scale * phi.c, scale * phi.d)
+        g0, g1 = _conjugate_forms(F, m)
+        P, Q = BinaryForm(tuple(g0)), BinaryForm(tuple(g1))
+        assert sylvester_resultant(P, Q) == (ma * md - mb * mc) ** (d * d + d) * F.resultant
+        G = conjugate(F, phi)
+        assert G == HomogeneousLift(P, Q).normalized()
+        for x in (ProjPoint(0, 1), ProjPoint(1, 0), ProjPoint(-2, 3)):
+            assert apply_map(G, phi.apply(x)) == phi.apply(apply_map(F, x))
 
 
 # ---------------------------------------------------------------------------
