@@ -1,6 +1,6 @@
 """Global canonical heights over Q by place decomposition.
 
-For a content-normalized lift F and the canonical coprime lift of a point,
+For the canonical lift F of a map and the canonical coprime lift of a point,
 the canonical height is the sum of the local heights over the contributing
 places: the archimedean place plus the primes dividing Res(F).  Everywhere
 else the local height of a coprime pair under a unit-content good-reduction
@@ -18,7 +18,7 @@ from dataclasses import dataclass
 from .arith import prime_factors_abs
 from .certified import CertifiedValue
 from .errors import InputError
-from .local_heights import green_pairing, hom_local_height, step_error_constants
+from .local_heights import green_pairing_from_heights, memo_local_heights, step_error_constants
 from .maps_core import HomogeneousLift, Place, ProjPoint, apply_map
 
 DEFAULT_ITERS = 30
@@ -67,11 +67,7 @@ def canonical_height(
     F: HomogeneousLift, x: ProjPoint, n_iter: int = DEFAULT_ITERS
 ) -> HeightBreakdown:
     """Certified canonical height of x as a sum of local heights."""
-    if not F.content_normalized:
-        raise InputError("canonical height requires a content-normalized lift")
-    return canonical_height_from_heights(
-        F, x, lambda z, place: hom_local_height(F, z.lift(), place, n_iter)
-    )
+    return canonical_height_from_heights(F, x, memo_local_heights(F, n_iter))
 
 
 def canonical_height_from_heights(F: HomogeneousLift, x: ProjPoint, height) -> HeightBreakdown:
@@ -91,8 +87,6 @@ def height_gap_constant(F: HomogeneousLift) -> float:
     divided by (d - 1); the finite-place contributions total log|Res F|
     because L_p = -ord_p(Res) log p.  Rounded outward.
     """
-    if not F.content_normalized:
-        raise InputError("height gap constant requires a content-normalized lift")
     arch = step_error_constants(F, Place.archimedean())
     gap = (arch.magnitude() + math.log(abs(F.resultant))) / (F.d - 1)
     return math.nextafter(gap * (1.0 + 1e-12), math.inf)
@@ -128,15 +122,16 @@ def pairing_identity_check(
 
     The place sum runs over ``pair_places``; all other places vanish
     exactly.  The identity is the product formula applied to the wedge and
-    resultant terms of the pairing.
+    resultant terms of the pairing.  Each local height is computed once.
     """
     if x == y:
         raise InputError("pairing identity needs distinct points")
+    height = memo_local_heights(F, n_iter)
     lhs = CertifiedValue.exact_zero()
     for v in pair_places(F, x, y):
-        lhs = lhs + green_pairing(F, x, y, v, n_iter)
-    hx = canonical_height(F, x, n_iter).total
-    hy = canonical_height(F, y, n_iter).total
+        lhs = lhs + green_pairing_from_heights(F, x, y, v, height)
+    hx = canonical_height_from_heights(F, x, height).total
+    hy = canonical_height_from_heights(F, y, height).total
     rhs = hx + hy
     return ResidualReport(
         abs(lhs.value - rhs.value), lhs.err + rhs.err, lhs.value, rhs.value

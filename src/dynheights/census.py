@@ -29,7 +29,7 @@ from .canonical import (
 )
 from .certified import CertifiedValue
 from .errors import DuplicatePointsError, InputError
-from .local_heights import green_pairing_from_heights, hom_local_height
+from .local_heights import green_pairing_from_heights, memo_local_heights
 from .maps_core import (
     HomogeneousLift,
     Place,
@@ -100,7 +100,7 @@ def orbit(
     if budget < 1:
         raise InputError("orbit budget must be >= 1")
     if height_bound is None:
-        height_bound = preperiodic_height_bound(F.normalized())
+        height_bound = preperiodic_height_bound(F)
     seen = {x: 0}
     y = x
     for k in range(1, budget + 1):
@@ -176,7 +176,7 @@ def enumerate_points(height_bound: float) -> list:
     return points
 
 
-def _orbit_budget(F: HomogeneousLift, height_bound: float) -> int:
+def _orbit_budget(height_bound: float) -> int:
     """Budget large enough that orbits below the bound must close up."""
     n = _box_radius(height_bound)
     states = (2 * n + 1) * (n + 1) + 2
@@ -189,9 +189,8 @@ def preperiodic_points(F: HomogeneousLift, search_bound: float) -> list:
     Complete for the searched box; globally complete exactly when
     search_bound >= preperiodic_height_bound(F).
     """
-    F = F.normalized()
     bound = preperiodic_height_bound(F)
-    budget = _orbit_budget(F, bound)
+    budget = _orbit_budget(bound)
     out = []
     for x in enumerate_points(search_bound):
         rec = orbit(F, x, budget=budget, height_bound=bound)
@@ -336,7 +335,6 @@ def small_height_census(
     borderline when it also cannot be certified below.  Observational: the
     uniform comparison constants are not effective.
     """
-    F = F.normalized()
     rh = h_res(F)
     s = len(rh.finite_terms) + 1
     threshold = t_fraction * rh.total / s
@@ -347,7 +345,7 @@ def small_height_census(
         threshold_moduli = t_fraction * inv.moduli_height.value / s
         comparison_row = (rh.finite_part, inv.moduli_height.value)
     bound = preperiodic_height_bound(F)
-    budget = _orbit_budget(F, bound)
+    budget = _orbit_budget(bound)
     points = enumerate_points(search_bound)
     warnings = list(rh.warnings)
     rows = []
@@ -426,12 +424,11 @@ def height_gap_probe(
     Context only: the reported bound h_res / d^(s log s) uses ineffective
     constants and is not checked.
     """
-    F = F.normalized()
     points = enumerate_points(search_bound)
     if not points:
         raise InputError("empty search box")
     bound = preperiodic_height_bound(F)
-    budget = _orbit_budget(F, bound)
+    budget = _orbit_budget(bound)
     best = None
     non_pre = 0
     for x in points:
@@ -476,19 +473,12 @@ def energy_sum(
     height H_v(x) is computed once per call and shared by every pair term
     and canonical height that uses it.
     """
-    F = F.normalized()
     pts = list(points)
     if len(pts) < 2:
         raise InputError("energy sums need at least two points")
     if len(set(pts)) != len(pts):
         raise DuplicatePointsError("energy sum points must be pairwise distinct")
-    local = {}
-
-    def height(x: ProjPoint, place: Place) -> CertifiedValue:
-        if (x, place) not in local:
-            local[x, place] = hom_local_height(F, x.lift(), place, n_iter)
-        return local[x, place]
-
+    height = memo_local_heights(F, n_iter)
     all_places = v == "all"
     unordered = CertifiedValue.exact_zero()
     for i in range(len(pts)):
@@ -589,7 +579,6 @@ def comparison_scatter(maps) -> ComparisonTable:
     arch_gaps = []
     any_flag = False
     for F in maps:
-        F = F.normalized()
         if F.d != 2:
             raise InputError("comparison scatter is defined for quadratic maps only")
         inv = milnor_invariants(F)

@@ -37,9 +37,9 @@ from .census import (
     small_height_census,
 )
 from .errors import DynheightsError, InputError
-from .formats import load_map, map_hash, parse_pair, parse_point
+from .formats import load_forms, load_map, map_hash, parse_pair, parse_point
 from .local_heights import escape_radius, green_pairing, verify_escape
-from .maps_core import Place, milnor_invariants
+from .maps_core import HomogeneousLift, Place, milnor_invariants, sylvester_resultant
 from .reduction import bad_places, minimal_resultant_ord
 
 
@@ -99,7 +99,7 @@ def _build_parser() -> argparse.ArgumentParser:
             sp.add_argument("--format", choices=("json", "csv"), default="json")
         return sp
 
-    add("resultant", "Sylvester resultant of the lift as given in the file")
+    add("resultant", "Sylvester resultant of the forms as given in the file")
     add("badplaces", "places of bad reduction with minimal-resultant certificates")
     sp = add("minres", "per-prime minimal resultant certificate")
     sp.add_argument("--prime", type=int, required=True, metavar="P")
@@ -146,8 +146,9 @@ def _build_parser() -> argparse.ArgumentParser:
 def _run_command(args):
     cmd = args.command
     if cmd == "resultant":
-        F = load_map(args.map, normalized=False)
-        return {"res": str(F.resultant)}, False, F
+        P, Q = load_forms(args.map)
+        F = HomogeneousLift(P, Q)  # rejects Res = 0
+        return {"res": str(sylvester_resultant(P, Q))}, False, F
     if cmd == "badplaces":
         F = load_map(args.map)
         rep = bad_places(F)

@@ -15,14 +15,17 @@ import re
 from fractions import Fraction
 
 from .errors import InputError
-from .maps_core import HomogeneousLift, ProjPoint
+from .maps_core import BinaryForm, HomogeneousLift, ProjPoint
 
 _POINT_RE = re.compile(r"^\[\s*(-?\d+)\s*:\s*(-?\d+)\s*\]$")
 _PAIR_RE = re.compile(r"^\[\s*(-?\d+(?:/\d+)?)\s*:\s*(-?\d+(?:/\d+)?)\s*\]$")
 
 
-def lift_from_json_dict(obj: dict, normalized: bool = True) -> HomogeneousLift:
-    """Parse the map wire format; coefficients arrive from i = d down to 0."""
+def forms_from_json_dict(obj: dict) -> tuple:
+    """Parse the map wire format into the forms (P, Q) exactly as given.
+
+    Coefficients arrive from i = d down to 0.
+    """
     try:
         d = int(obj["d"])
         p_desc = [int(str(c)) for c in obj["P"]]
@@ -31,7 +34,12 @@ def lift_from_json_dict(obj: dict, normalized: bool = True) -> HomogeneousLift:
         raise InputError(f"malformed map object: {exc}") from exc
     if len(p_desc) != d + 1 or len(q_desc) != d + 1:
         raise InputError(f"expected {d + 1} coefficients for degree {d}")
-    return HomogeneousLift.from_coeffs(p_desc[::-1], q_desc[::-1], normalized=normalized)
+    return BinaryForm(tuple(p_desc[::-1])), BinaryForm(tuple(q_desc[::-1]))
+
+
+def lift_from_json_dict(obj: dict) -> HomogeneousLift:
+    """The canonical lift of a map in the wire format."""
+    return HomogeneousLift(*forms_from_json_dict(obj))
 
 
 def lift_to_json_dict(F: HomogeneousLift) -> dict:
@@ -42,13 +50,19 @@ def lift_to_json_dict(F: HomogeneousLift) -> dict:
     }
 
 
-def load_map(path: str, normalized: bool = True) -> HomogeneousLift:
+def load_forms(path: str) -> tuple:
+    """The forms (P, Q) of a map file, exactly as given in the file."""
     with open(path, "r", encoding="utf-8") as fh:
         try:
             obj = json.load(fh)
         except json.JSONDecodeError as exc:
             raise InputError(f"{path} is not valid JSON: {exc}") from exc
-    return lift_from_json_dict(obj, normalized=normalized)
+    return forms_from_json_dict(obj)
+
+
+def load_map(path: str) -> HomogeneousLift:
+    """The canonical lift of the map in a map file."""
+    return HomogeneousLift(*load_forms(path))
 
 
 def parse_point(text: str) -> ProjPoint:

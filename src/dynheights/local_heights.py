@@ -9,10 +9,11 @@ with z_{k+1} a rescaled F(z_k); every summand lies in [L_v, U_v], the step
 error constants, so truncating after n terms leaves a tail of at most
 max(|L_v|, |U_v|) / (d^n (d-1)).  The constants come from the triangle
 inequality (U) and from the Sylvester cofactor identity
-g1*P + g2*Q = Res(F) * x^(2d-1) (L): with unit-content F the cofactor
-coefficients are integers, giving ||F(z)||_p >= |Res(F)|_p ||z||_p^d at
-finite p exactly, and ||F(z)|| >= (|Res(F)|/2A') ||z||^d at the archimedean
-place with A' an exact bound on the cofactor forms over the unit ball.
+g1*P + g2*Q = Res(F) * x^(2d-1) (L): the cofactor coefficients of the
+canonical (content-1) lift F are integers, giving ||F(z)||_p >= |Res(F)|_p
+||z||_p^d at finite p exactly, and ||F(z)|| >= (|Res(F)|/2A') ||z||^d at
+the archimedean place with A' an exact bound on the cofactor forms over
+the unit ball.
 
 Archimedean iteration uses floats with exact binary renormalization each
 step (so magnitudes never leave [1/2, 1)); p-adic iteration works modulo a
@@ -65,8 +66,6 @@ class EscapeRadius:
 
 def step_error_constants(F: HomogeneousLift, v: Place) -> StepErrorConstant:
     """Certified per-step bounds for the local height telescoping series."""
-    if not F.content_normalized:
-        raise InputError("step constants require a content-normalized lift")
     d = F.d
     if v.is_archimedean:
         U = _up(math.log((d + 1) * F.max_abs_coeff()))
@@ -91,8 +90,6 @@ def escape_radius(F: HomogeneousLift, v: Place) -> EscapeRadius:
     Archimedean: max(1, (2A'/|Res(F)|)^(1/(d-1))) with A' the exact
     cofactor bound.
     """
-    if not F.content_normalized:
-        raise InputError("escape radius requires a content-normalized lift")
     d = F.d
     if v.is_archimedean:
         r = (2.0 * F.cofactor_bound / abs(F.resultant)) ** (1.0 / (d - 1))
@@ -220,13 +217,11 @@ def hom_local_height(F: HomogeneousLift, xt, v: Place, n_iter: int) -> Certified
 
     Satisfies the homogeneity identity H(lambda * xt) = H(xt) + log|lambda|_v
     and H(F(xt)) = d * H(xt), both up to the returned error radius.  At a
-    finite place with good reduction of the normalized lift the value is
-    exact (zero truncation).
+    finite place with good reduction of the lift the value is exact (zero
+    truncation).
     """
     if n_iter < 1:
         raise InputError("n_iter must be >= 1")
-    if not F.content_normalized:
-        raise InputError("local heights require a content-normalized lift")
     x0, x1 = Fraction(xt[0]), Fraction(xt[1])
     if x0 == 0 and x1 == 0:
         raise InputError("(0, 0) has no local height")
@@ -251,11 +246,23 @@ def green_pairing(
     """
     if x == y:
         raise DiagonalPairingError(f"green pairing at the diagonal: {x}")
-    if not F.content_normalized:
-        raise InputError("green pairing requires a content-normalized lift")
-    return green_pairing_from_heights(
-        F, x, y, v, lambda z, place: hom_local_height(F, z.lift(), place, n_iter)
-    )
+    return green_pairing_from_heights(F, x, y, v, memo_local_heights(F, n_iter))
+
+
+def memo_local_heights(F: HomogeneousLift, n_iter: int):
+    """height(x, v) = H_v(x) of a ProjPoint's canonical lift, each (x, v)
+    computed at most once per returned function.
+
+    Callers keep the function for one computation only; no cache outlives it.
+    """
+    local = {}
+
+    def height(x: ProjPoint, place: Place) -> CertifiedValue:
+        if (x, place) not in local:
+            local[x, place] = hom_local_height(F, x.lift(), place, n_iter)
+        return local[x, place]
+
+    return height
 
 
 def green_pairing_from_heights(
@@ -304,8 +311,6 @@ def verify_escape(
     """
     if delta <= 0:
         raise InputError("delta must be positive")
-    if not F.content_normalized:
-        raise InputError("verify_escape requires a content-normalized lift")
     d = F.d
     z0, z1 = Fraction(z[0]), Fraction(z[1])
     if z0 == 0 and z1 == 0:

@@ -9,18 +9,21 @@ functions of immutable values.
 Conventions fixed here and used by every other module:
 
 * ``BinaryForm.coeffs[i]`` is the coefficient of x^i y^(d-i).
-* The canonical lift has coefficient gcd 1 and positive first nonzero
-  entry of the descending vector (a_d, ..., a_0, b_d, ..., b_0).
+* Every ``HomogeneousLift`` is the canonical lift of its map: construction
+  divides both forms by their signed content, so the coefficient gcd is 1
+  and the first nonzero entry of the descending vector (a_d, ..., a_0,
+  b_d, ..., b_0) is positive.  Two lifts are equal exactly when they
+  define the same map.
 * ``sylvester_resultant`` is the determinant of the 2d x 2d Sylvester
   matrix of the dehomogenized forms, zero leading coefficients kept, so
-  e.g. Res(x^2, y^2) = 1 and Res(c*P, Q) = c^d Res(P, Q).
-* ``conjugate(F, phi)`` is a lift of phi o f o phi^{-1}; computed over
-  the integers as M o F o adj(M), with M the matrix of phi scaled to
-  integer entries (same projective map as with M^{-1}), then
-  content-normalized.
-* A content-normalized ``HomogeneousLift`` is the per-map context: its
-  resultant, the primes dividing it and the cofactor bound A' are computed
-  once, on first use, and cached on the (immutable) lift.
+  e.g. Res(x^2, y^2) = 1 and Res(c*P, Q) = c^d Res(P, Q).  It takes raw
+  ``BinaryForm``s, so it also gives Res of forms that are not canonical.
+* ``conjugate(F, phi)`` is the canonical lift of phi o f o phi^{-1};
+  computed over the integers as M o F o adj(M), with M the matrix of phi
+  scaled to integer entries (same projective map as with M^{-1}).
+* A ``HomogeneousLift`` is the per-map context: its resultant, the primes
+  dividing it and the cofactor bound A' are computed once, on first use,
+  and cached on the (immutable) lift.
 """
 
 from __future__ import annotations
@@ -105,21 +108,7 @@ class BinaryForm:
         return self.coeffs[::-1]
 
     def evaluate(self, x, y):
-        """Exact value at a rational pair."""
-        d = self.degree
-        acc = Fraction(0)
-        xp = Fraction(1)
-        ypowers = [Fraction(1)]
-        for _ in range(d):
-            ypowers.append(ypowers[-1] * y)
-        for i, c in enumerate(self.coeffs):
-            if c:
-                acc += c * xp * ypowers[d - i]
-            xp *= x
-        return acc
-
-    def evaluate_int(self, x: int, y: int) -> int:
-        """Integer evaluation on an integer pair (fast path for orbits)."""
+        """Exact value at a pair of ints or Fractions: an int at an int pair."""
         d = self.degree
         acc = 0
         xp = 1
@@ -208,11 +197,6 @@ class Mobius:
     def diagonal(cls, u, v) -> "Mobius":
         return cls(u, 0, 0, v)
 
-    @classmethod
-    def from_rows(cls, rows) -> "Mobius":
-        (a, b), (c, d) = rows
-        return cls(a, b, c, d)
-
     def rows(self) -> tuple:
         return ((self.a, self.b), (self.c, self.d))
 
@@ -250,11 +234,17 @@ class Mobius:
 
 @dataclass(frozen=True)
 class HomogeneousLift:
-    """A pair of degree-d integer binary forms (P, Q) with Res(P, Q) != 0."""
+    """The canonical lift (P, Q) of a degree-d rational map, Res(P, Q) != 0.
+
+    Construction divides both forms by the signed content of the lift, as
+    ``ProjPoint`` does for points: the coefficients have gcd 1 and the first
+    nonzero entry of ``coefficient_vector()`` is positive.  Res(F), the
+    local heights and everything built on them are then functions of the
+    map, and two lifts are equal exactly when they define the same map.
+    """
 
     P: BinaryForm
     Q: BinaryForm
-    content_normalized: bool = False
 
     def __post_init__(self):
         if self.P.degree != self.Q.degree:
@@ -265,6 +255,10 @@ class HomogeneousLift:
             raise InputError("rational-map lifts need degree >= 2")
         if self.P.is_zero or self.Q.is_zero:
             raise DegenerateMapError("zero form in a lift")
+        g = _canonical_scale(self.coefficient_vector())
+        if g != 1:
+            object.__setattr__(self, "P", BinaryForm(tuple(c // g for c in self.P.coeffs)))
+            object.__setattr__(self, "Q", BinaryForm(tuple(c // g for c in self.Q.coeffs)))
         if self.resultant == 0:
             raise DegenerateMapError("Res(P, Q) = 0: the forms share a root")
 
@@ -278,8 +272,8 @@ class HomogeneousLift:
 
     @cached_property
     def resultant_primes(self) -> tuple:
-        """Sorted primes dividing Res: the only places where a unit-content lift
-        can reduce badly, or a coprime point have a nonzero local height."""
+        """Sorted primes dividing Res: the only places where the lift can
+        reduce badly, or a coprime point have a nonzero local height."""
         return tuple(sorted(prime_factors_abs(self.resultant)))
 
     @cached_property
@@ -297,29 +291,13 @@ class HomogeneousLift:
         return max(best, 1)
 
     @classmethod
-    def from_coeffs(cls, p_asc, q_asc, normalized: bool = True) -> "HomogeneousLift":
-        """Build from ascending coefficient lists; content-normalize by default."""
-        lift = cls(BinaryForm(tuple(p_asc)), BinaryForm(tuple(q_asc)))
-        return lift.normalized() if normalized else lift
+    def from_coeffs(cls, p_asc, q_asc) -> "HomogeneousLift":
+        """The canonical lift of the forms with these ascending coefficient lists."""
+        return cls(BinaryForm(tuple(p_asc)), BinaryForm(tuple(q_asc)))
 
     def coefficient_vector(self) -> tuple:
         """(a_d, ..., a_0, b_d, ..., b_0): the 2d+2 coordinates of the lift."""
         return self.P.descending() + self.Q.descending()
-
-    def normalized(self) -> "HomogeneousLift":
-        """The canonical representative: content 1, first nonzero coordinate > 0."""
-        if self.content_normalized and _canonical_scale(self.coefficient_vector()) == 1:
-            return self
-        return _normalized_lift(self.P.coeffs, self.Q.coeffs)
-
-    def scaled(self, c: int) -> "HomogeneousLift":
-        """The lift (c*P, c*Q); same projective map, resultant scaled by c^(2d)."""
-        if c == 0:
-            raise InputError("cannot scale a lift by 0")
-        return HomogeneousLift(
-            BinaryForm(tuple(c * x for x in self.P.coeffs)),
-            BinaryForm(tuple(c * x for x in self.Q.coeffs)),
-        )
 
     def max_abs_coeff(self) -> int:
         return max(self.P.max_abs_coeff(), self.Q.max_abs_coeff())
@@ -383,22 +361,19 @@ def normalized_resultant_abs(F: HomogeneousLift, v: Place):
 
     Res is homogeneous of degree 2d in the 2d+2 coefficients (degree d in
     each form), so the 2d-th power of the sup norm is the normalizer that
-    cancels under F -> cF.  Exact Fraction at finite places; CertifiedValue
-    at the archimedean place (the ratio is an exact rational, only the float
-    conversion is inexact).
+    cancels under F -> cF.  The canonical lift has content 1, so at a finite
+    place the normalizer is 1 and the value is the exact Fraction
+    |Res(F)|_p.  At the archimedean place it is a CertifiedValue (the ratio
+    is an exact rational, only the float conversion is inexact).
     """
-    vec = F.coefficient_vector()
-    e = 2 * F.d
     if v.is_archimedean:
-        frac = Fraction(abs(F.resultant), max(abs(c) for c in vec) ** e)
+        frac = Fraction(abs(F.resultant), F.max_abs_coeff() ** (2 * F.d))
         value = frac.numerator / frac.denominator
         approx = Fraction(value)
         if approx == frac:
             return CertifiedValue.exact_float(value)
         return CertifiedValue(value, math.nextafter(abs(float(approx - frac)) * 2, math.inf))
-    p = v.prime
-    norm = max(abs_p(c, p) for c in vec)
-    return abs_p(F.resultant, p) / norm**e
+    return abs_p(F.resultant, v.prime)
 
 
 def evaluate_lift(F: HomogeneousLift, z) -> tuple:
@@ -409,7 +384,7 @@ def evaluate_lift(F: HomogeneousLift, z) -> tuple:
 
 def apply_map(F: HomogeneousLift, x: ProjPoint) -> ProjPoint:
     """Canonical representative of f(x); defined everywhere since Res != 0."""
-    return ProjPoint(F.P.evaluate_int(x.x0, x.x1), F.Q.evaluate_int(x.x0, x.x1))
+    return ProjPoint(F.P.evaluate(x.x0, x.x1), F.Q.evaluate(x.x0, x.x1))
 
 
 def _canonical_scale(vec) -> int:
@@ -417,16 +392,6 @@ def _canonical_scale(vec) -> int:
     a positive first nonzero entry."""
     g = content(vec)
     return -g if next(c for c in vec if c != 0) < 0 else g
-
-
-def _normalized_lift(p_asc, q_asc) -> HomogeneousLift:
-    """The canonical lift (content 1, first nonzero coordinate > 0) of integer forms."""
-    g = _canonical_scale(tuple(p_asc[::-1]) + tuple(q_asc[::-1]))
-    return HomogeneousLift(
-        BinaryForm(tuple(c // g for c in p_asc)),
-        BinaryForm(tuple(c // g for c in q_asc)),
-        content_normalized=True,
-    )
 
 
 def _compose_form(coeffs_asc, alpha: int, beta: int, gamma: int, delta: int) -> list:
@@ -469,12 +434,17 @@ def _integral_matrix(phi: Mobius) -> tuple:
 
 
 def conjugate(F: HomogeneousLift, phi: Mobius) -> HomogeneousLift:
-    """Content-normalized integer lift of phi o f o phi^{-1}.
+    """The canonical lift of phi o f o phi^{-1}.
 
     Scaling phi's matrix does not change the projective map, so the integer
-    matrix of phi is used and all arithmetic is over Z.
+    matrix of phi is used and all arithmetic is over Z.  The content is
+    divided out here, so each form is built once.
     """
-    return _normalized_lift(*_conjugate_forms(F, _integral_matrix(phi)))
+    g0, g1 = _conjugate_forms(F, _integral_matrix(phi))
+    g = _canonical_scale(g0[::-1] + g1[::-1])
+    return HomogeneousLift(
+        BinaryForm(tuple(c // g for c in g0)), BinaryForm(tuple(c // g for c in g1))
+    )
 
 
 # ---------------------------------------------------------------------------

@@ -1,7 +1,7 @@
 """Bad reduction, per-prime minimal resultants, and the resultant height.
 
 The p-adic size of a rational map is measured by ord_p of the resultant of
-its content-normalized lift.  For a conjugator phi, the quantity
+its canonical (content-1) lift.  For a conjugator phi, the quantity
 ord_p |res at phi| = ord_p Res(phi f phi^-1) is unchanged by replacing phi
 with u phi for any p-adically unimodular u (Gauss's lemma on the forms,
 unit determinant on Res), so it is a function on the left-coset tree
@@ -23,7 +23,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .arith import is_prime, ord_fraction
+from .arith import is_prime, ord_fraction, ord_int
 from .errors import InputError, OracleRadiusError
 from .maps_core import HomogeneousLift, Mobius, Place, conjugate, normalized_resultant_abs
 
@@ -33,6 +33,9 @@ _DESCENT_CAP_SLOPE = 4
 _DESCENT_CAP_OFFSET = 4
 
 _ORACLE_MAX_RADIUS = 6
+
+#: move radius of the archimedean conjugator family of ``h_res``
+_ARCH_FAMILY_RADIUS = 2
 
 
 # ---------------------------------------------------------------------------
@@ -45,7 +48,7 @@ class MinResCertificate:
     """Per-prime record of the minimal resultant search.
 
     ``conjugator`` achieves ``ord_min``: recomputing ord_p of the resultant
-    of the content-normalized conjugated lift reproduces it exactly.
+    of the conjugated (canonical) lift reproduces it exactly.
     ``method`` records which search produced the certificate; conjugators
     range over all invertible rational matrices (the elementary moves have
     determinant p, so this is the GL_2 convention).
@@ -61,7 +64,7 @@ class MinResCertificate:
 
     def verify(self, F: HomogeneousLift) -> bool:
         """Recompute ord_p Res through the conjugator; must equal ord_min."""
-        return ord_res_at(F.normalized(), self.p, self.conjugator) == self.ord_min
+        return ord_res_at(F, self.p, self.conjugator) == self.ord_min
 
     def to_json_dict(self) -> dict:
         rows = [[str(e) for e in row] for row in self.conjugator.rows()]
@@ -139,17 +142,18 @@ def elementary_moves(p: int) -> list:
     return moves
 
 
-def neighbor_moves(p: int) -> list:
+def neighbor_moves(p: int):
     """Left-composition moves realizing the p+1 tree neighbors of any vertex.
 
     These are the adjugates (homothety-scaled inverses) of the elementary
     moves: z -> pz and z -> (z+j)/p for j = 0..p-1.  Left-composing the
     current conjugator with them reaches exactly the p+1 adjacent lattice
-    classes, whichever vertex the walk is at.
+    classes, whichever vertex the walk is at.  Generated one at a time, so
+    a scan holds one move, not p+1.
     """
-    moves = [Mobius(p, 0, 0, 1)]
-    moves.extend(Mobius(1, j, 0, p) for j in range(p))
-    return moves
+    yield Mobius(p, 0, 0, 1)
+    for j in range(p):
+        yield Mobius(1, j, 0, p)
 
 
 def _canonical_residue(b: Fraction, p: int, n: int) -> Fraction:
@@ -203,12 +207,8 @@ def vertex_key(phi: Mobius, p: int) -> tuple:
 
 
 def ord_res_at(F: HomogeneousLift, p: int, phi: Mobius) -> int:
-    """ord_p of 1/|res at the vertex|: ord_p Res of the normalized conjugate."""
-    if not F.content_normalized:
-        raise InputError("ord_res_at expects a content-normalized lift")
-    G = conjugate(F, phi)
-    frac = normalized_resultant_abs(G, Place.finite(p))
-    return -ord_fraction(frac, p)
+    """ord_p of 1/|res at the vertex|: ord_p Res of the (canonical) conjugate."""
+    return ord_int(conjugate(F, phi).resultant, p)
 
 
 # ---------------------------------------------------------------------------
@@ -224,15 +224,15 @@ def minimal_resultant_ord(F: HomogeneousLift, p: int) -> MinResCertificate:
     resulting matrix entries); stops when no neighbor improves.  Since every
     move strictly decreases a nonnegative integer, at most ord_start moves
     can occur; the 4*ord_start + 4 cap is defensive and, if ever reached,
-    the certificate is flagged rather than silently claimed minimal.
+    the certificate is flagged rather than silently claimed minimal.  At
+    ord_start = 0 the start vertex is minimal and no neighbor is built, so
+    a prime that does not divide Res costs one resultant whatever its size.
     """
     if not is_prime(p):
         raise InputError(f"{p} is not prime")
-    F = F.normalized()
     phi = Mobius.identity()
     current = ord_res_at(F, p, phi)
     ord_start = current
-    moves = neighbor_moves(p)
     cap = _DESCENT_CAP_SLOPE * ord_start + _DESCENT_CAP_OFFSET
     steps = 0
     capped = False
@@ -241,7 +241,7 @@ def minimal_resultant_ord(F: HomogeneousLift, p: int) -> MinResCertificate:
             capped = True
             break
         best = None
-        for mv in moves:
+        for mv in neighbor_moves(p):
             cand = mv.compose(phi)
             o = ord_res_at(F, p, cand)
             key = (o,) + tuple((cand.a, cand.b, cand.c, cand.d))
@@ -264,7 +264,7 @@ def minimal_resultant_ord(F: HomogeneousLift, p: int) -> MinResCertificate:
 
 def _oracle_vertices(F: HomogeneousLift, p: int, radius: int):
     """All tree vertices reachable by <= radius neighbor moves or inverses."""
-    moves = neighbor_moves(p)
+    moves = list(neighbor_moves(p))
     gens = moves + [m.inverse() for m in moves]
     start = Mobius.identity()
     seen = {vertex_key(start, p): start}
@@ -294,7 +294,6 @@ def minimal_resultant_oracle(F: HomogeneousLift, p: int, radius: int) -> int:
         )
     if not is_prime(p):
         raise InputError(f"{p} is not prime")
-    F = F.normalized()
     vertices = _oracle_vertices(F, p, radius)
     return min(ord_res_at(F, p, phi) for phi in vertices.values())
 
@@ -302,12 +301,11 @@ def minimal_resultant_oracle(F: HomogeneousLift, p: int, radius: int) -> int:
 def bad_places(F: HomogeneousLift) -> BadReductionReport:
     """All places of bad reduction of f.
 
-    Only primes dividing Res of the content-normalized lift can be bad
-    (elsewhere ord_p Res is already 0); each candidate is settled by the
+    Only primes dividing Res of the canonical lift can be bad (elsewhere
+    ord_p Res is already 0); each candidate is settled by the
     minimal-resultant descent.  The archimedean place counts as bad by
     convention, so s >= 1 always.
     """
-    F = F.normalized()
     certs = []
     warnings = []
     bad = []
@@ -327,12 +325,12 @@ def bad_places(F: HomogeneousLift) -> BadReductionReport:
     )
 
 
-def _arch_conjugator_family(F: HomogeneousLift, radius: int = 2) -> list:
+def _arch_conjugator_family(F: HomogeneousLift) -> list:
     """Finite conjugator family used to probe sup |Res|_inf (documented, not exhaustive).
 
-    Products of <= radius elementary moves (and inverses) at 2, 3 and the
-    primes dividing Res(F), together with unit shears and the coordinate
-    swap.  Deduplicated by matrix entries; size-capped for cost.
+    Products of <= _ARCH_FAMILY_RADIUS elementary moves (and inverses) at
+    2, 3 and the primes dividing Res(F), together with unit shears and the
+    coordinate swap.  Deduplicated by matrix entries; size-capped for cost.
     """
     primes = sorted({2, 3} | set(F.resultant_primes))
     gens = [
@@ -349,7 +347,7 @@ def _arch_conjugator_family(F: HomogeneousLift, radius: int = 2) -> list:
     family = {}
     frontier = [Mobius.identity()]
     family[(Fraction(1), Fraction(0), Fraction(0), Fraction(1))] = frontier[0]
-    for _ in range(radius):
+    for _ in range(_ARCH_FAMILY_RADIUS):
         new_frontier = []
         for phi in frontier:
             for g in gens:
@@ -364,20 +362,19 @@ def _arch_conjugator_family(F: HomogeneousLift, radius: int = 2) -> list:
     return list(family.values())
 
 
-def h_res(F: HomogeneousLift, arch_radius: int = 2) -> ResultantHeight:
+def h_res(F: HomogeneousLift) -> ResultantHeight:
     """Nonnegative resultant height: sum_v log^+(1/|res(f)|_v).
 
     Finite part: ord_min(p) * log p over the bad primes, exact integers.
     Archimedean part: log^+(1/best-found |res|_inf) over a finite conjugator
     family; flagged upper-bound-only since the true sup is over SL_2(R).
     """
-    F = F.normalized()
     report = bad_places(F)
     finite_part = 0.0
     for p, o in report.bad_primes:
         finite_part += o * math.log(p)
     best = 0.0
-    for phi in _arch_conjugator_family(F, radius=arch_radius):
+    for phi in _arch_conjugator_family(F):
         val = normalized_resultant_abs(conjugate(F, phi), Place.archimedean()).value
         if val > best:
             best = val

@@ -12,9 +12,9 @@ _SRC = str(Path(__file__).resolve().parent.parent / "src")
 os.environ["PYTHONPATH"] = os.pathsep.join(filter(None, [_SRC, os.environ.get("PYTHONPATH")]))
 
 
-def lift(p_desc, q_desc, normalized=True):
+def lift(p_desc, q_desc):
     """Build a lift from descending coefficient lists (wire order)."""
-    return HomogeneousLift.from_coeffs(p_desc[::-1], q_desc[::-1], normalized=normalized)
+    return HomogeneousLift.from_coeffs(p_desc[::-1], q_desc[::-1])
 
 
 @pytest.fixture

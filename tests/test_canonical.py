@@ -54,11 +54,6 @@ def test_canonical_preperiodic_is_zero(monomial, z2_minus_1):
     assert abs(hhat_limit(z2_minus_1, ProjPoint(0, 1), 12)) <= 1e-9
 
 
-def test_canonical_requires_normalized(three_z2):
-    with pytest.raises(InputError):
-        canonical_height(three_z2.scaled(3), ProjPoint(1, 1))
-
-
 def test_canonical_against_defining_limit():
     rng = random.Random(314)
     for _ in range(6):

@@ -5,6 +5,7 @@ import json
 import math
 import subprocess
 import sys
+import time
 
 import pytest
 
@@ -65,6 +66,17 @@ def test_minres_output(map_file):
         "ord_start": 2,
         "p": 3,
     }
+
+
+def test_minres_on_a_good_prime_returns_at_once(map_file):
+    # Res(z^2 - 1) = 1: no descent is needed, so the p + 1 neighbours of the
+    # start vertex must not be built
+    start = time.perf_counter()
+    proc = run_cli("minres", "--map", map_file(Z2_MINUS_1), "--prime", "1000003")
+    elapsed = time.perf_counter() - start
+    assert proc.returncode == 0
+    assert json.loads(proc.stdout)["ord_min"] == 0
+    assert elapsed < 2.0
 
 
 def test_green_output(map_file):
@@ -206,6 +218,9 @@ def test_plot_svg(map_file, tmp_path):
 # ---------------------------------------------------------------------------
 
 SIXTH = {"d": 2, "P": ["6", "0", "1"], "Q": ["0", "0", "6"]}  # z^2 + 1/6, Res = 2^4 3^4
+#: content 2 and a negative leading coefficient: Res of the forms as given is
+#: 544, Res of the canonical lift is 34
+NONCANON = {"d": 2, "P": ["-4", "0", "2"], "Q": ["0", "2", "6"]}
 
 #: (label, map, prime) of the digest panel
 DIGEST_MAPS = (("z2m1", Z2_MINUS_1, "2"), ("3z2", THREE_Z2, "3"), ("sixth", SIXTH, "3"))
@@ -232,7 +247,18 @@ def _digest_panel(map_file):
             (f"{label}/gap", ["gap", *m, "--bound", "1.1"]),
             (f"{label}/milnor", ["milnor", *m]),
             (f"{label}/preperiodic", ["preperiodic", *m, "--bound", "1.4"]),
+            (f"{label}/escape-inf", ["escape", *m, "--place", "inf", "--z", "[40:1]"]),
+            (f"{label}/escape-3", ["escape", *m, "--place", "3", "--z", "[1/243:1]",
+                                   "--steps", "12"]),
+            (f"{label}/orbit", ["orbit", *m, "--point", "[1:2]"]),
         ]
+    m = ["--map", map_file(NONCANON, "noncanon.json")]
+    calls += [
+        ("noncanon/resultant", ["resultant", *m]),
+        ("noncanon/badplaces", ["badplaces", *m]),
+        ("noncanon/height", ["height", *m, "--point", "[-3:2]"]),
+        ("noncanon/census", ["census", *m, "--bound", "1.4", "--t-fraction", "1.0"]),
+    ]
     calls.append(("compare", ["compare", *(a for label in paths for a in ("--map", paths[label]))]))
     return calls
 
@@ -246,8 +272,10 @@ def _run_in_process(argv):
     return code, hashlib.sha256(out.getvalue().encode()).hexdigest()
 
 
-#: exit code and sha256 of stdout per panel call, recorded before the
-#: per-map invariants were cached on the lift and conjugation moved to integers
+#: exit code and sha256 of stdout per panel call; the first 37 were recorded
+#: before the per-map invariants were cached on the lift and conjugation
+#: moved to integers, the rest (escape, orbit, the non-canonical map) before
+#: every lift was made canonical on construction
 PINNED_DIGESTS = {
     "z2m1/resultant": (0, "811ec1753d4fb38ff572ecc90df1450a943644c18eb94ea49321e0a028114f25"),
     "z2m1/badplaces": (0, "fe216fd668d598b136827f8cc6d34f21e18ad4489ec0a61ff9b9153f80307b3f"),
@@ -286,6 +314,19 @@ PINNED_DIGESTS = {
     "sixth/milnor": (0, "4f4286e83879747a973c6189eb34880d1023954e9f40ab7bcfe953ebe35a8ee6"),
     "sixth/preperiodic": (0, "c3c69c0c9a9e08ac6bc4c44c4f8c29b8d1f8ce2302ba65528a84e7c7404eab01"),
     "compare": (0, "b9c80312d522868967c207bc5d7c3a4cc7dcb9918c17e3b82ba2b14eff47ef0d"),
+    "z2m1/escape-inf": (0, "fcc61e45ee7024aec8c3532777db06d786b1fcfa335a382d88eaa4fe4988322a"),
+    "z2m1/escape-3": (0, "d60c68833589d71b1435d05f119c216ee8630ded43745c838c7680ad02611bef"),
+    "z2m1/orbit": (0, "ac73ff33cc1649d610496a90d701fd85d2c3c4b4d940a89de237cf347cb98744"),
+    "3z2/escape-inf": (0, "fcc61e45ee7024aec8c3532777db06d786b1fcfa335a382d88eaa4fe4988322a"),
+    "3z2/escape-3": (0, "537e8582f3c2fa20d107fe32d4eb63be956fc7f6235e826a852408316ca3bb99"),
+    "3z2/orbit": (0, "6286b5fe7c2499127d4b95f27010b8e283d1e1d7064f98f8a39ef7a7e28d6a58"),
+    "sixth/escape-inf": (0, "a81d6b6b11a641c1a21d01cde40186f106cdd671383c3f0c9187cbf12fc39346"),
+    "sixth/escape-3": (0, "4adb145d73014152002a6fd543a1ae8723348f5eac76b3e0a5061ec56e4657d7"),
+    "sixth/orbit": (0, "c42f787cfbb5d444e8d34dce2aaf294af8b00d494a729565a6f14968c5313db6"),
+    "noncanon/resultant": (0, "36b358adcd86300d1431ed4f544a10273f18e91b282b97b4612371ca3afa0aea"),
+    "noncanon/badplaces": (0, "68b2c959d13af94e26d3efa4eb9086915876531064abd6bdbbf9404e7788deea"),
+    "noncanon/height": (0, "b34ec14f5dfef37c45bad2d66da777aa79d45767f69059e4cc9c7e730b552082"),
+    "noncanon/census": (0, "ba17f584b31638996cc3d8048d98b99cd545699cf5b81333582e1b8c7c42d89e"),
 }
 
 

@@ -75,22 +75,43 @@ def test_normalized_resultant_monomial_arch(monomial):
     assert normalized_resultant_abs(monomial, Place.archimedean()).value == 1.0
 
 
-def test_normalized_resultant_scaling_invariance_arch(monomial):
-    doubled = monomial.scaled(2)
-    cv = normalized_resultant_abs(doubled, Place.archimedean())
-    assert abs(cv.value - 1.0) <= 1e-12
-
-
 def test_normalized_resultant_three_z2_at_3(three_z2):
     assert normalized_resultant_abs(three_z2, Place.finite(3)) == Fraction(1, 9)
+
+
+def _raw_forms(rng, d, bound):
+    """A random pair of degree-d forms with nonzero resultant, not reduced."""
+    while True:
+        P = BinaryForm(tuple(rng.randint(-bound, bound) for _ in range(d + 1)))
+        Q = BinaryForm(tuple(rng.randint(-bound, bound) for _ in range(d + 1)))
+        if not (P.is_zero or Q.is_zero) and sylvester_resultant(P, Q) != 0:
+            return P, Q
+
+
+def _scaled(P, Q, c):
+    return BinaryForm(tuple(c * a for a in P.coeffs)), BinaryForm(tuple(c * a for a in Q.coeffs))
+
+
+def test_normalized_resultant_scaling_invariance_arch(monomial):
+    doubled = HomogeneousLift(*_scaled(monomial.P, monomial.Q, 2))
+    cv = normalized_resultant_abs(doubled, Place.archimedean())
+    assert abs(cv.value - 1.0) <= 1e-12
 
 
 @settings(max_examples=60, deadline=None)
 @given(st.integers(min_value=-40, max_value=40).filter(lambda c: c != 0), st.integers(0, 10**6))
 def test_normalized_resultant_lift_invariance(c, seed):
+    # scaling the forms changes their resultant by c^(2d) but not the map:
+    # both build the same (canonical) lift, so |Res|_v normalized agrees
     rng = random.Random(seed)
-    F = random_lift(rng, rng.choice([2, 3]), coeff_bound=6)
-    G = F.scaled(c)
+    d = rng.choice([2, 3])
+    P, Q = _raw_forms(rng, d, 6)
+    cP, cQ = _scaled(P, Q, c)
+    assert sylvester_resultant(cP, cQ) == c ** (2 * d) * sylvester_resultant(P, Q)
+    F, G = HomogeneousLift(P, Q), HomogeneousLift(cP, cQ)
+    assert G == F
+    vec = F.coefficient_vector()
+    assert math.gcd(*vec) == 1 and next(a for a in vec if a != 0) > 0
     for p in (2, 3, 5, 7):
         assert normalized_resultant_abs(F, Place.finite(p)) == normalized_resultant_abs(
             G, Place.finite(p)
@@ -149,7 +170,7 @@ def test_conjugate_resultant_transformation():
         P, Q = BinaryForm(tuple(g0)), BinaryForm(tuple(g1))
         assert sylvester_resultant(P, Q) == (ma * md - mb * mc) ** (d * d + d) * F.resultant
         G = conjugate(F, phi)
-        assert G == HomogeneousLift(P, Q).normalized()
+        assert G == HomogeneousLift(P, Q)
         for x in (ProjPoint(0, 1), ProjPoint(1, 0), ProjPoint(-2, 3)):
             assert apply_map(G, phi.apply(x)) == phi.apply(apply_map(F, x))
 
@@ -178,10 +199,13 @@ def test_apply_map_examples(monomial, z2_minus_1):
     st.integers(0, 10**6),
 )
 def test_apply_map_scale_invariance(c, seed):
+    # the lift of the scaled forms maps points as the raw forms do
     rng = random.Random(seed)
-    F = random_lift(rng, 2, coeff_bound=8)
+    P, Q = _raw_forms(rng, 2, 8)
+    F, G = HomogeneousLift(P, Q), HomogeneousLift(*_scaled(P, Q, c))
     x = ProjPoint(rng.randint(-9, 9) or 1, rng.randint(0, 9))
-    assert apply_map(F, x) == apply_map(F.scaled(c), x)
+    image = ProjPoint(P.evaluate(x.x0, x.x1), Q.evaluate(x.x0, x.x1))
+    assert apply_map(F, x) == apply_map(G, x) == image
 
 
 # ---------------------------------------------------------------------------
