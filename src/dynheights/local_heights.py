@@ -188,8 +188,9 @@ def _padic_local_height(F: HomogeneousLift, x0: Fraction, x1: Fraction, p: int, 
     modulus = p**remaining
     z0 = _frac_to_residue(u0, modulus)
     z1 = _frac_to_residue(u1, modulus)
-    acc = Fraction(-m0)
-    weight = Fraction(1, d)
+    # H = -m0 - sum_{k=1..n} m_k / d^k; Horner keeps the integer numerator
+    # over d^n, so no Fraction arithmetic runs inside the loop
+    num = 0
     pc, qc = F.P.coeffs, F.Q.coeffs
     for _ in range(n_iter):
         w0 = _eval_form_mod(pc, d, z0, z1, modulus)
@@ -200,14 +201,13 @@ def _padic_local_height(F: HomogeneousLift, x0: Fraction, x1: Fraction, p: int, 
         )
         if m > e:  # impossible for a unit-content lift; guards precision bugs
             raise ArithmeticError("p-adic step valuation exceeded its certified bound")
-        acc += weight * (-m)
-        weight /= d
+        num = num * d - m
         shift = p**m
         remaining -= m
         modulus = p**remaining
         z0 = (w0 // shift) % modulus
         z1 = (w1 // shift) % modulus
-    cv = log_rational_multiple(acc, p)
+    cv = log_rational_multiple(Fraction(num, d**n_iter) - m0, p)
     tail = (e * math.log(p)) / (d**n_iter * (d - 1))
     return cv.widen(_up(tail))
 

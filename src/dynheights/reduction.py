@@ -13,6 +13,27 @@ the tree, so greedy neighbor descent terminates at the vertex minimum; an
 exhaustive small-radius ball search over the same generators serves as an
 independent oracle.
 
+The descent evaluates only the neighbors at the reduction holes of the
+current conjugate G (Bruin-Molnar, "Minimal models for rational functions
+in a dynamical setting", LMS J. Comput. Math. 2012; Rumely, "The minimal
+resultant locus", Acta Arith. 2015).  For a neighbor move with integer
+matrix M (det p), the raw conjugate M o G o adj(M) has resultant
+p^(d^2+d) Res(G); dividing out a content of valuation k gives
+ord_p Res = ord_p Res(G) + d^2 + d - 2dk.  A neighbor with k <= 1 is worse
+than G by at least d^2 - d, so only k >= 2 can keep or lower the value,
+and k >= 2 needs
+
+* for z -> (z+j)/p, that -j is a common root of P(x,1) and Q(x,1) mod p:
+  the raw conjugate is (P' + jQ', pQ') with P', Q' = P, Q at (px-jy, y),
+  which are y^d P(-j,1), y^d Q(-j,1) mod p;
+* for z -> pz, that both x^d coefficients of G vanish mod p: the raw
+  conjugate is (pP(x,py), Q(x,py)), which is (0, b_d x^d) mod p and has
+  first entry a_d x^d mod p^2.
+
+These holes, at most d of them, hold every neighbor that does not raise
+ord_p Res, so their best, under the same tie-break, is the best of all
+p + 1 neighbors.
+
 Each vertex is identified by the canonical Hermite form of its coset over
 the localization Z_(p), which makes deduplication and loop detection exact.
 """
@@ -22,6 +43,10 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import islice
+
+from sympy.polys.domains import ZZ
+from sympy.polys.galoistools import gf_factor, gf_from_int_poly, gf_gcd
 
 from .arith import is_prime, ord_fraction, ord_int
 from .errors import InputError, OracleRadiusError
@@ -34,8 +59,9 @@ _DESCENT_CAP_OFFSET = 4
 
 _ORACLE_MAX_RADIUS = 6
 
-#: move radius of the archimedean conjugator family of ``h_res``
+#: move radius and size cap of the archimedean conjugator family of ``h_res``
 _ARCH_FAMILY_RADIUS = 2
+_ARCH_FAMILY_CAP = 600
 
 
 # ---------------------------------------------------------------------------
@@ -135,11 +161,15 @@ class ResultantHeight:
 # ---------------------------------------------------------------------------
 
 
-def elementary_moves(p: int) -> list:
-    """The generating moves z -> pz+j and z -> z/p, in a fixed order."""
-    moves = [Mobius(1, 0, 0, p)]
-    moves.extend(Mobius(p, j, 0, 1) for j in range(p))
-    return moves
+def elementary_moves(p: int):
+    """The generating moves z -> z/p and z -> pz+j (j = 0..p-1), in this order.
+
+    Generated one at a time, so a caller that stops early builds only the
+    moves it takes.
+    """
+    yield Mobius(1, 0, 0, p)
+    for j in range(p):
+        yield Mobius(p, j, 0, 1)
 
 
 def neighbor_moves(p: int):
@@ -211,6 +241,27 @@ def ord_res_at(F: HomogeneousLift, p: int, phi: Mobius) -> int:
     return ord_int(conjugate(F, phi).resultant, p)
 
 
+def hole_moves(G: HomogeneousLift, p: int) -> list:
+    """The neighbor moves at the reduction holes of the canonical lift G.
+
+    z -> (z+j)/p for each root -j of gcd(P(x,1), Q(x,1)) over F_p, and
+    z -> pz when both x^d coefficients vanish mod p.  These are the only
+    neighbors whose conjugate can have ord_p Res <= ord_p Res(G) (module
+    docstring).  There are at most d of them, whatever the size of p: the
+    gcd has degree <= d, and <= d - 1 when both x^d coefficients vanish.
+    """
+    moves = []
+    if G.P.coeffs[-1] % p == 0 and G.Q.coeffs[-1] % p == 0:
+        moves.append(Mobius(p, 0, 0, 1))
+    common = gf_gcd(
+        gf_from_int_poly(G.P.descending(), p), gf_from_int_poly(G.Q.descending(), p), p, ZZ
+    )
+    for factor, _ in gf_factor(common, p, ZZ)[1]:
+        if len(factor) == 2:  # monic x + j, whose root is -j
+            moves.append(Mobius(1, factor[1], 0, p))
+    return moves
+
+
 # ---------------------------------------------------------------------------
 # Descent and oracle
 # ---------------------------------------------------------------------------
@@ -219,19 +270,24 @@ def ord_res_at(F: HomogeneousLift, p: int, phi: Mobius) -> int:
 def minimal_resultant_ord(F: HomogeneousLift, p: int) -> MinResCertificate:
     """Greedy neighbor descent for the vertex minimum of ord_p Res.
 
-    From the current conjugator, evaluates all p+1 neighbors and moves to
-    the strictly best one (ties broken by the lexicographic order of the
-    resulting matrix entries); stops when no neighbor improves.  Since every
-    move strictly decreases a nonnegative integer, at most ord_start moves
-    can occur; the 4*ord_start + 4 cap is defensive and, if ever reached,
-    the certificate is flagged rather than silently claimed minimal.  At
-    ord_start = 0 the start vertex is minimal and no neighbor is built, so
-    a prime that does not divide Res costs one resultant whatever its size.
+    From the current conjugator phi, evaluates the neighbors at the holes of
+    G = conjugate(F, phi) (``hole_moves``) and moves to the strictly best one
+    (ties broken by the lexicographic order of the resulting matrix
+    entries); stops when no hole improves.  Every other neighbor has
+    ord_p Res >= current + d^2 - d (module docstring), so this is the move,
+    and the certificate, that a scan of all p+1 neighbors would give, with
+    at most d evaluations per step for any p.  Since every move strictly
+    decreases a nonnegative integer, at most ord_start moves can occur; the
+    4*ord_start + 4 cap is defensive and, if ever reached, the certificate
+    is flagged rather than silently claimed minimal.  ord_start is read from
+    the lift's cached resultant, so a prime that does not divide Res costs
+    no resultant and builds no neighbor, whatever its size.
     """
     if not is_prime(p):
         raise InputError(f"{p} is not prime")
     phi = Mobius.identity()
-    current = ord_res_at(F, p, phi)
+    G = F
+    current = ord_int(F.resultant, p)
     ord_start = current
     cap = _DESCENT_CAP_SLOPE * ord_start + _DESCENT_CAP_OFFSET
     steps = 0
@@ -241,7 +297,7 @@ def minimal_resultant_ord(F: HomogeneousLift, p: int) -> MinResCertificate:
             capped = True
             break
         best = None
-        for mv in neighbor_moves(p):
+        for mv in hole_moves(G, p):
             cand = mv.compose(phi)
             o = ord_res_at(F, p, cand)
             key = (o,) + tuple((cand.a, cand.b, cand.c, cand.d))
@@ -250,6 +306,7 @@ def minimal_resultant_ord(F: HomogeneousLift, p: int) -> MinResCertificate:
         if best is None or best[2] >= current:
             break
         phi, current = best[1], best[2]
+        G = conjugate(F, phi)
         steps += 1
     return MinResCertificate(
         p=p,
@@ -325,25 +382,32 @@ def bad_places(F: HomogeneousLift) -> BadReductionReport:
     )
 
 
+def _arch_generators(primes):
+    """Unit shears and the coordinate swap, then the elementary moves and
+    their inverses prime by prime, one at a time."""
+    yield Mobius(1, 1, 0, 1)
+    yield Mobius(1, -1, 0, 1)
+    yield Mobius(1, 0, 1, 1)
+    yield Mobius(1, 0, -1, 1)
+    yield Mobius(0, 1, 1, 0)
+    for q in primes:
+        yield from elementary_moves(q)
+        yield from (m.inverse() for m in elementary_moves(q))
+
+
 def _arch_conjugator_family(F: HomogeneousLift) -> list:
     """Finite conjugator family used to probe sup |Res|_inf (documented, not exhaustive).
 
     Products of <= _ARCH_FAMILY_RADIUS elementary moves (and inverses) at
     2, 3 and the primes dividing Res(F), together with unit shears and the
     coordinate swap.  Deduplicated by matrix entries; size-capped for cost.
+    The generators are pairwise distinct and none is the identity, so the
+    first ring adds one member per generator and the cap is met before more
+    than _ARCH_FAMILY_CAP of them are needed: taking only those keeps the
+    work bounded when a prime of Res is large.
     """
     primes = sorted({2, 3} | set(F.resultant_primes))
-    gens = [
-        Mobius(1, 1, 0, 1),
-        Mobius(1, -1, 0, 1),
-        Mobius(1, 0, 1, 1),
-        Mobius(1, 0, -1, 1),
-        Mobius(0, 1, 1, 0),
-    ]
-    for q in primes:
-        moves = elementary_moves(q)
-        gens.extend(moves)
-        gens.extend(m.inverse() for m in moves)
+    gens = list(islice(_arch_generators(primes), _ARCH_FAMILY_CAP))
     family = {}
     frontier = [Mobius.identity()]
     family[(Fraction(1), Fraction(0), Fraction(0), Fraction(1))] = frontier[0]
@@ -356,7 +420,7 @@ def _arch_conjugator_family(F: HomogeneousLift) -> list:
                 if key not in family:
                     family[key] = cand
                     new_frontier.append(cand)
-                if len(family) >= 600:
+                if len(family) >= _ARCH_FAMILY_CAP:
                     return list(family.values())
         frontier = new_frontier
     return list(family.values())

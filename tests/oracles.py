@@ -6,6 +6,8 @@ its own Sylvester matrix and expands the determinant by cofactors, the
 height oracle runs the defining limit d^-n h(f^n x) on raw integer pairs,
 the local-height oracle iterates exact Fractions with no renormalization,
 and the multiplier oracle finds fixed points numerically at 60 digits.
+The full-scan descent is the reference for the hole-guided one: it
+evaluates all p + 1 tree neighbors at every step.
 """
 
 from __future__ import annotations
@@ -14,6 +16,9 @@ import math
 from fractions import Fraction
 
 import mpmath
+
+from dynheights import MinResCertificate, Mobius, ord_res_at
+from dynheights.reduction import neighbor_moves
 
 
 # ---------------------------------------------------------------------------
@@ -44,6 +49,36 @@ def naive_resultant(p_desc, q_desc):
     for i in range(d):
         rows.append([0] * i + list(q_desc) + [0] * (d - 1 - i))
     return det_cofactor(rows)
+
+
+# ---------------------------------------------------------------------------
+# Minimal resultant
+# ---------------------------------------------------------------------------
+
+
+def full_scan_descent(F, p: int) -> MinResCertificate:
+    """Greedy descent from the identity that evaluates all p + 1 neighbors
+    at every step.
+
+    Moves to the strictly best neighbor, ties broken by the lexicographic
+    order of the resulting matrix entries.  Small p only: each step costs
+    p + 1 resultants.
+    """
+    phi = Mobius.identity()
+    current = ord_res_at(F, p, phi)
+    ord_start = current
+    while current > 0:
+        best = None
+        for mv in neighbor_moves(p):
+            cand = mv.compose(phi)
+            o = ord_res_at(F, p, cand)
+            key = (o, cand.a, cand.b, cand.c, cand.d)
+            if best is None or key < best[0]:
+                best = (key, cand, o)
+        if best[2] >= current:
+            break
+        phi, current = best[1], best[2]
+    return MinResCertificate(p=p, ord_start=ord_start, ord_min=current, conjugator=phi)
 
 
 # ---------------------------------------------------------------------------

@@ -24,12 +24,12 @@ def map_file(tmp_path):
     return write
 
 
-def run_cli(*args):
+def run_cli(*args, timeout=240):
     proc = subprocess.run(
         [sys.executable, "-m", "dynheights", *args],
         capture_output=True,
         text=True,
-        timeout=240,
+        timeout=timeout,
     )
     return proc
 
@@ -168,6 +168,49 @@ def test_badplaces_cli(map_file):
     proc = run_cli("badplaces", "--map", map_file(half))
     out = json.loads(proc.stdout)
     assert out["bad_primes"] == [[2, 2]] and out["s"] == 2
+
+
+# Res = 3^2 * 8149259477: a full scan of the p + 1 tree neighbours at the
+# large prime, or a list of its elementary moves, would take days
+LARGE_PRIME_MAP = {"d": 2, "P": ["114", "213", "-513"], "Q": ["875", "-243", "-733"]}
+
+
+def test_badplaces_on_a_large_resultant_prime(map_file):
+    start = time.perf_counter()
+    proc = run_cli("badplaces", "--map", map_file(LARGE_PRIME_MAP), timeout=10)
+    elapsed = time.perf_counter() - start
+    assert proc.returncode == 0
+    assert elapsed < 2.0  # interpreter start included
+    out = json.loads(proc.stdout)
+    assert out["bad_primes"] == [[3, 2], [8149259477, 1]] and out["s"] == 3
+
+
+def test_badplaces_descends_from_a_large_prime(map_file):
+    # z^2 + 1 conjugated by z -> 1000003 z + 5 has ord 6 at 1000003 and
+    # good reduction after the descent
+    from fractions import Fraction
+
+    from dynheights import HomogeneousLift, MinResCertificate, Mobius, conjugate
+
+    G = conjugate(HomogeneousLift.from_coeffs([1, 0, 1], [0, 0, 1]), Mobius(1000003, 5, 0, 1))
+    wire = {
+        "d": 2,
+        "P": [str(c) for c in G.P.descending()],
+        "Q": [str(c) for c in G.Q.descending()],
+    }
+    proc = run_cli("badplaces", "--map", map_file(wire), timeout=10)
+    assert proc.returncode == 0
+    out = json.loads(proc.stdout)
+    assert out["bad_primes"] == [] and out["s"] == 1
+    (cert,) = out["certificates"]
+    assert (cert["p"], cert["ord_start"], cert["ord_min"]) == (1000003, 6, 0)
+    rows = [Fraction(e) for row in cert["conjugator"] for e in row]
+    assert MinResCertificate(1000003, 6, 0, Mobius(*rows)).verify(G)
+
+
+def test_census_on_a_large_resultant_prime(map_file):
+    proc = run_cli("census", "--map", map_file(LARGE_PRIME_MAP), "--bound", "1.1", timeout=10)
+    assert proc.returncode == 0
 
 
 def test_compare_cli(map_file):

@@ -14,9 +14,10 @@ from dynheights import (
     minimal_resultant_oracle,
     ord_res_at,
 )
-from dynheights.reduction import neighbor_moves, vertex_key
+from dynheights.reduction import hole_moves, neighbor_moves, vertex_key
 
 from conftest import lift, random_lift
+from oracles import full_scan_descent
 
 # Fixed regression family: every map has ord_start <= 4 at each tested prime,
 # so the radius-4 oracle ball provably contains the vertex minimum.
@@ -168,6 +169,44 @@ def test_descent_equals_oracle_on_random_maps_and_primes():
         radius = min(cert.ord_start + 1, 4)
         assert cert.ord_min == minimal_resultant_oracle(F, p, radius), (F, p)
         checked += 1
+
+
+def _random_vertex(rng, p):
+    """A conjugator 0 to 3 random tree moves (or inverses) from the identity."""
+    moves = list(neighbor_moves(p))
+    phi = Mobius.identity()
+    for _ in range(rng.randint(0, 3)):
+        mv = rng.choice(moves)
+        phi = (mv if rng.random() < 0.5 else mv.inverse()).compose(phi)
+    return phi
+
+
+def test_hole_moves_hold_every_neighbour_that_does_not_rise():
+    # the hole argument: a neighbour off the hole set has
+    # ord_p Res >= current + d^2 - d, so it can neither improve nor tie
+    rng = random.Random(60606)
+    for _ in range(40):
+        d = rng.choice([2, 3, 4])
+        F = random_lift(rng, d, coeff_bound=9)
+        p = rng.choice([2, 3, 5, 7, 11, 13])
+        phi = _random_vertex(rng, p)
+        current = ord_res_at(F, p, phi)
+        holes = {mv.rows() for mv in hole_moves(conjugate(F, phi), p)}
+        assert len(holes) <= d
+        for mv in neighbor_moves(p):
+            o = ord_res_at(F, p, mv.compose(phi))
+            if mv.rows() not in holes:
+                assert o >= current + d * d - d, (F, p, phi, mv)
+
+
+def test_hole_descent_equals_full_scan_descent():
+    rng = random.Random(70707)
+    for _ in range(40):
+        d = rng.choice([2, 3, 4])
+        F = random_lift(rng, d, coeff_bound=9)
+        p = rng.choice([2, 3, 5, 7, 11, 13])
+        G = conjugate(F, _random_vertex(rng, p))
+        assert minimal_resultant_ord(G, p) == full_scan_descent(G, p), (G, p)
 
 
 def test_minimality_witness_over_oracle_ball(z2_plus_half):
