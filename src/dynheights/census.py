@@ -7,6 +7,11 @@ point (every iterate of a preperiodic point is preperiodic, so one large
 iterate rules the starting point out).  "undecided" can only mean the
 iteration budget ran out.
 
+The preperiodic listing, the census and the gap probe read one scan of the
+search box: each point's orbit record, in enumeration order.  A census
+computes each local height H_v(x) once, in one table shared by its rows'
+canonical heights and its energy table.
+
 The census and gap probe report observational data: the uniform constants
 they would be compared against are not effective, so counts are emitted
 next to their s log s context rather than checked against it.
@@ -29,6 +34,7 @@ from .canonical import (
 )
 from .certified import CertifiedValue
 from .errors import DuplicatePointsError, InputError
+from .formats import map_hash
 from .local_heights import green_pairing_from_heights, memo_local_heights
 from .maps_core import (
     HomogeneousLift,
@@ -162,17 +168,10 @@ def enumerate_points(height_bound: float) -> list:
     n = _box_radius(height_bound)
     points = []
     for m in range(1, n + 1):
-        batch = []
         for x0 in range(-m, m + 1):
             for x1 in range(0, m + 1):
-                if max(abs(x0), x1) != m:
-                    continue
-                if x1 == 0 and x0 != 1:
-                    continue
-                if math.gcd(abs(x0), x1) != 1:
-                    continue
-                batch.append((x0, x1))
-        points.extend(ProjPoint(a, b) for (a, b) in sorted(batch))
+                if max(abs(x0), x1) == m and (x1 > 0 or x0 == 1) and math.gcd(x0, x1) == 1:
+                    points.append(ProjPoint(x0, x1))
     return points
 
 
@@ -183,20 +182,27 @@ def _orbit_budget(height_bound: float) -> int:
     return min(states + 2, _ORBIT_BUDGET_CAP)
 
 
+def _scan(F: HomogeneousLift, search_bound: float) -> list:
+    """(x, orbit record) for every point of the search box, in enumeration order.
+
+    Every orbit runs against the map's preperiodic height bound, so each
+    "escaped" record certifies that its point is not preperiodic.
+    """
+    bound = preperiodic_height_bound(F)
+    budget = _orbit_budget(bound)
+    return [
+        (x, orbit(F, x, budget=budget, height_bound=bound))
+        for x in enumerate_points(search_bound)
+    ]
+
+
 def preperiodic_points(F: HomogeneousLift, search_bound: float) -> list:
     """All preperiodic points of f with Weil height <= search_bound.
 
     Complete for the searched box; globally complete exactly when
     search_bound >= preperiodic_height_bound(F).
     """
-    bound = preperiodic_height_bound(F)
-    budget = _orbit_budget(bound)
-    out = []
-    for x in enumerate_points(search_bound):
-        rec = orbit(F, x, budget=budget, height_bound=bound)
-        if rec.status == "preperiodic":
-            out.append(x)
-    return out
+    return [x for x, rec in _scan(F, search_bound) if rec.status == "preperiodic"]
 
 
 # ---------------------------------------------------------------------------
@@ -298,29 +304,6 @@ class CensusReport:
         }
 
 
-def _map_hash(F: HomogeneousLift) -> str:
-    from .formats import map_hash
-
-    return map_hash(F)
-
-
-def _census_row(F, x, bound, budget, threshold, n_iter):
-    rec = orbit(F, x, budget=budget, height_bound=bound)
-    hb = canonical_height(F, x, n_iter)
-    pre = rec.status == "preperiodic"
-    counted = hb.total.value <= threshold + hb.total.err
-    borderline = counted and (hb.total.value + hb.total.err > threshold)
-    return CensusRow(
-        point=x,
-        weil=weil_height(x),
-        hhat=hb.total,
-        preperiodic=pre,
-        tail=rec.tail_length if pre else 0,
-        cycle=rec.cycle_length if pre else 0,
-        borderline=borderline,
-    ), counted, rec.status
-
-
 def small_height_census(
     F: HomogeneousLift,
     t_fraction: float,
@@ -333,7 +316,8 @@ def small_height_census(
     the Milnor moduli height is reported alongside.  A point is counted when
     its height cannot be certified above the threshold, and flagged
     borderline when it also cannot be certified below.  Observational: the
-    uniform comparison constants are not effective.
+    uniform comparison constants are not effective.  Each local height is
+    computed once per call and shared by the rows and the energy table.
     """
     rh = h_res(F)
     s = len(rh.finite_terms) + 1
@@ -344,20 +328,25 @@ def small_height_census(
         inv = milnor_invariants(F)
         threshold_moduli = t_fraction * inv.moduli_height.value / s
         comparison_row = (rh.finite_part, inv.moduli_height.value)
-    bound = preperiodic_height_bound(F)
-    budget = _orbit_budget(bound)
-    points = enumerate_points(search_bound)
+    scan = _scan(F, search_bound)
+    height = memo_local_heights(F, n_iter)
     warnings = list(rh.warnings)
+    warnings += [f"orbit budget exhausted at {x}" for x, r in scan if r.status == "undecided"]
     rows = []
-    pre_count = 0
-    for x in points:
-        row, counted, status = _census_row(F, x, bound, budget, threshold, n_iter)
-        if status == "undecided":
-            warnings.append(f"orbit budget exhausted at {row.point}")
-        if row.preperiodic:
-            pre_count += 1
-        if counted:
-            rows.append(row)
+    for x, rec in scan:
+        hhat = canonical_height_from_heights(F, x, height).total
+        if hhat.value <= threshold + hhat.err:
+            rows.append(
+                CensusRow(
+                    point=x,
+                    weil=weil_height(x),
+                    hhat=hhat,
+                    preperiodic=rec.status == "preperiodic",
+                    tail=rec.tail_length,
+                    cycle=rec.cycle_length,
+                    borderline=hhat.value + hhat.err > threshold,
+                )
+            )
     energy = None
     if len(rows) >= 2:
         pts = [r.point for r in rows]
@@ -366,9 +355,9 @@ def small_height_census(
                 f"energy table truncated to the first {_ENERGY_TABLE_CAP} counted points"
             )
             pts = pts[:_ENERGY_TABLE_CAP]
-        energy = energy_sum(F, pts, "all", n_iter)
+        energy = _energy_from_heights(F, pts, "all", height)
     return CensusReport(
-        map_hash=_map_hash(F),
+        map_hash=map_hash(F),
         d=F.d,
         s=s,
         resultant_height=rh,
@@ -376,14 +365,14 @@ def small_height_census(
         threshold=threshold,
         threshold_moduli=threshold_moduli,
         search_bound=search_bound,
-        searched=len(points),
+        searched=len(scan),
         count=len(rows),
         s_log_s=s * math.log(s) if s > 1 else 0.0,
         rows=tuple(rows),
         energy=energy,
         comparison_row=comparison_row,
-        complete_global=search_bound >= bound,
-        preperiodic_count=pre_count,
+        complete_global=search_bound >= preperiodic_height_bound(F),
+        preperiodic_count=sum(rec.status == "preperiodic" for _, rec in scan),
         warnings=tuple(warnings),
     )
 
@@ -424,34 +413,25 @@ def height_gap_probe(
     Context only: the reported bound h_res / d^(s log s) uses ineffective
     constants and is not checked.
     """
-    points = enumerate_points(search_bound)
-    if not points:
+    scan = _scan(F, search_bound)
+    if not scan:
         raise InputError("empty search box")
-    bound = preperiodic_height_bound(F)
-    budget = _orbit_budget(bound)
-    best = None
-    non_pre = 0
-    for x in points:
-        rec = orbit(F, x, budget=budget, height_bound=bound)
-        if rec.status == "preperiodic":
-            continue
-        non_pre += 1
-        hb = canonical_height(F, x, n_iter)
-        low = hb.total.value - hb.total.err
-        if best is None or low < best[0]:
-            best = (low, x, hb.total)
-    if best is None:
+    candidates = [
+        (x, canonical_height(F, x, n_iter).total) for x, r in scan if r.status != "preperiodic"
+    ]
+    if not candidates:
         raise InputError("no non-preperiodic point in the search box")
+    witness, hhat = min(candidates, key=lambda c: c[1].value - c[1].err)
     rh = h_res(F)
     s = len(rh.finite_terms) + 1
     slogs = s * math.log(s) if s > 1 else 0.0
     context = rh.total / (F.d ** max(slogs, 1.0))
     return GapProbe(
-        min_certified=best[0],
-        witness=best[1],
-        hhat=best[2],
-        searched=len(points),
-        non_preperiodic=non_pre,
+        min_certified=hhat.value - hhat.err,
+        witness=witness,
+        hhat=hhat,
+        searched=len(scan),
+        non_preperiodic=len(candidates),
         context_bound=context,
     )
 
@@ -478,7 +458,11 @@ def energy_sum(
         raise InputError("energy sums need at least two points")
     if len(set(pts)) != len(pts):
         raise DuplicatePointsError("energy sum points must be pairwise distinct")
-    height = memo_local_heights(F, n_iter)
+    return _energy_from_heights(F, pts, v, memo_local_heights(F, n_iter))
+
+
+def _energy_from_heights(F: HomogeneousLift, pts: list, v, height) -> EnergyReport:
+    """The sums of ``energy_sum`` over distinct pts, with height(x, v) = H_v(x)."""
     all_places = v == "all"
     unordered = CertifiedValue.exact_zero()
     for i in range(len(pts)):
@@ -500,7 +484,7 @@ def energy_sum(
             "identity_budget": ordered.err + 2.0 * (n - 1) * total_h.err,
         }
     return EnergyReport(
-        place=str(v) if not all_places else "all",
+        place=str(v),
         n_points=n,
         ordered=ordered,
         unordered=unordered,
@@ -603,7 +587,7 @@ def comparison_scatter(maps) -> ComparisonTable:
         any_flag = any_flag or flagged
         rows.append(
             ComparisonRow(
-                map_hash=_map_hash(F),
+                map_hash=map_hash(F),
                 sigma1=str(inv.sigma1),
                 sigma2=str(inv.sigma2),
                 moduli_height=inv.moduli_height.value,

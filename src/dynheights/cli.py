@@ -21,6 +21,7 @@ import csv
 import hashlib
 import io
 import json
+import math
 import sys
 from dataclasses import dataclass
 from datetime import datetime, timezone
@@ -80,6 +81,17 @@ def _parse_place(text: str, allow_all: bool = False):
     return Place.finite(p)
 
 
+def _finite(text: str) -> float:
+    """argparse type of the float options: NaN and +-inf are refused (exit 2)."""
+    try:
+        value = float(text)
+    except ValueError:
+        value = math.nan
+    if not math.isfinite(value):
+        raise argparse.ArgumentTypeError(f"expected a finite number, got {text!r}")
+    return value
+
+
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="dynheights",
@@ -113,22 +125,22 @@ def _build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--place", required=True, metavar="inf|P")
     sp.add_argument("--z", required=True, metavar="'[a:b]'", help="affine pair, rationals allowed")
     sp.add_argument("--steps", type=int, default=10, metavar="N")
-    sp.add_argument("--delta", type=float, default=0.1, metavar="D")
+    sp.add_argument("--delta", type=_finite, default=0.1, metavar="D")
     sp = add("orbit", "orbit classification with exact cycle detection")
     sp.add_argument("--point", required=True, metavar="'[a:b]'")
     sp.add_argument("--budget", type=int, default=10_000, metavar="N")
     sp.add_argument(
-        "--bound", type=float, default=None, metavar="B",
+        "--bound", type=_finite, default=None, metavar="B",
         help="escape height bound (default: the map's preperiodic height bound)",
     )
     sp = add("preperiodic", "all preperiodic rational points in a height box")
-    sp.add_argument("--bound", type=float, required=True, metavar="B")
+    sp.add_argument("--bound", type=_finite, required=True, metavar="B")
     sp = add("census", "small-height census with energy tables", with_iters=True, with_format=True)
-    sp.add_argument("--bound", type=float, required=True, metavar="B")
-    sp.add_argument("--t-fraction", type=float, default=0.1, dest="t_fraction", metavar="T")
+    sp.add_argument("--bound", type=_finite, required=True, metavar="B")
+    sp.add_argument("--t-fraction", type=_finite, default=0.1, dest="t_fraction", metavar="T")
     sp.add_argument("--plot", metavar="FILE.svg", help="write an hhat vs Weil-height scatter")
     sp = add("gap", "smallest certified positive canonical height in a box", with_iters=True)
-    sp.add_argument("--bound", type=float, required=True, metavar="B")
+    sp.add_argument("--bound", type=_finite, required=True, metavar="B")
     sp = add("energy", "pairwise Green energy of a point list", with_iters=True)
     sp.add_argument("--points", required=True, metavar="'[a:b];[c:d];...'")
     sp.add_argument("--place", required=True, metavar="inf|P|all")

@@ -200,9 +200,6 @@ class Mobius:
     def rows(self) -> tuple:
         return ((self.a, self.b), (self.c, self.d))
 
-    def adjugate(self) -> "Mobius":
-        return Mobius(self.d, -self.b, -self.c, self.a)
-
     def inverse(self) -> "Mobius":
         det = self.det
         return Mobius(self.d / det, -self.b / det, -self.c / det, self.a / det)

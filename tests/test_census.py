@@ -3,6 +3,7 @@ import random
 
 import pytest
 
+import dynheights.local_heights as lh
 from dynheights import (
     DuplicatePointsError,
     InputError,
@@ -157,6 +158,20 @@ def test_census_cubic_has_no_moduli_threshold():
     assert rep.d == 3
     assert rep.threshold_moduli is None and rep.comparison_row is None
     assert rep.searched == len(enumerate_points(math.log(3)))
+
+
+def test_census_computes_each_local_height_once(z2_plus_half, monkeypatch):
+    keys = []
+    inner = lh.hom_local_height
+
+    def counting(F, xt, v, n_iter):
+        keys.append((tuple(xt), v))
+        return inner(F, xt, v, n_iter)
+
+    monkeypatch.setattr(lh, "hom_local_height", counting)
+    rep = small_height_census(z2_plus_half, 30, 2.0)
+    assert rep.energy is not None and rep.energy.n_points >= 2
+    assert len(keys) == len(set(keys))
 
 
 # ---------------------------------------------------------------------------

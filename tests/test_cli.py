@@ -146,6 +146,27 @@ def test_escape_overflow_exits_3(map_file):
     assert proc.stderr.startswith("error: ") and "Traceback" not in proc.stderr
 
 
+#: calls (without --map) with a NaN or infinite float option: such a bound
+#: once reached int(exp(bound)) (exit 1 or 3) or never ended the orbit loop,
+#: and -inf or a NaN t-fraction reached stdout as non-JSON -Infinity or NaN
+NON_FINITE_CALLS = [
+    *(["census", f"--bound={v}"] for v in ("nan", "inf", "-inf")),
+    *(["gap", f"--bound={v}"] for v in ("nan", "inf")),
+    *(["preperiodic", f"--bound={v}"] for v in ("nan", "inf", "-inf")),
+    *(["orbit", "--point", "[2:1]", f"--bound={v}"] for v in ("nan", "inf", "-inf")),
+    ["census", "--bound=1.0", "--t-fraction=nan"],
+]
+
+
+@pytest.mark.parametrize("argv", NON_FINITE_CALLS, ids=" ".join)
+def test_non_finite_float_option_exits_2(map_file, argv):
+    command, *rest = argv
+    proc = run_cli(command, "--map", map_file(Z2_MINUS_1), *rest, timeout=10)
+    assert proc.returncode == 2
+    assert proc.stdout == ""
+    assert "expected a finite number" in proc.stderr and "Traceback" not in proc.stderr
+
+
 def test_escape_cli(map_file):
     proc = run_cli(
         "escape", "--map", map_file(THREE_Z2), "--place", "3", "--z", "[1/27:1]",
@@ -295,6 +316,15 @@ def _digest_panel(map_file):
                                    "--steps", "12"]),
             (f"{label}/orbit", ["orbit", *m, "--point", "[1:2]"]),
         ]
+    # a counted set above the energy-table cap: the truncation warning and a
+    # capped energy table (z^2 - 1 has h_res = 0 and counts only its cycles)
+    for label in ("z2m1", "sixth"):
+        m = ["--map", paths[label]]
+        cap = ["census", *m, "--bound", "2.0", "--t-fraction", "30"]
+        calls += [
+            (f"{label}/census-cap", cap),
+            (f"{label}/census-cap-csv", [*cap, "--format", "csv"]),
+        ]
     m = ["--map", map_file(NONCANON, "noncanon.json")]
     calls += [
         ("noncanon/resultant", ["resultant", *m]),
@@ -317,8 +347,9 @@ def _run_in_process(argv):
 
 #: exit code and sha256 of stdout per panel call; the first 37 were recorded
 #: before the per-map invariants were cached on the lift and conjugation
-#: moved to integers, the rest (escape, orbit, the non-canonical map) before
-#: every lift was made canonical on construction
+#: moved to integers, the next 13 (escape, orbit, the non-canonical map) before
+#: every lift was made canonical on construction, the census-cap ones before
+#: the census became a single scan
 PINNED_DIGESTS = {
     "z2m1/resultant": (0, "811ec1753d4fb38ff572ecc90df1450a943644c18eb94ea49321e0a028114f25"),
     "z2m1/badplaces": (0, "fe216fd668d598b136827f8cc6d34f21e18ad4489ec0a61ff9b9153f80307b3f"),
@@ -370,6 +401,10 @@ PINNED_DIGESTS = {
     "noncanon/badplaces": (0, "68b2c959d13af94e26d3efa4eb9086915876531064abd6bdbbf9404e7788deea"),
     "noncanon/height": (0, "b34ec14f5dfef37c45bad2d66da777aa79d45767f69059e4cc9c7e730b552082"),
     "noncanon/census": (0, "ba17f584b31638996cc3d8048d98b99cd545699cf5b81333582e1b8c7c42d89e"),
+    "z2m1/census-cap": (0, "c699396ae81be5169b4c53126bb3aeba678dbb9b54d3e44121a4c35d2ba3e6dd"),
+    "z2m1/census-cap-csv": (0, "8141bcf6faac05e8957d0536bf07ca8555d3cb8900b8c57f92e7df8eb4c34443"),
+    "sixth/census-cap": (0, "1d9ab0603fb0ca9aa36f8d15ea9a4266227f05c27a10fa0e320c266fb41f1e11"),
+    "sixth/census-cap-csv": (0, "ca2d22cae547e7fef156253d41054e0c5740d1b739776dbc21bfa0cb292ea6ba"),
 }
 
 
