@@ -8,7 +8,9 @@ iterate rules the starting point out).  "undecided" can only mean the
 iteration budget ran out.
 
 The preperiodic listing, the census and the gap probe read one scan of the
-search box: each point's orbit record, in enumeration order.  A census
+search box: each point's orbit record, in enumeration order.  The listing
+clips its box to the preperiodic height bound, above which nothing is
+preperiodic.  A census
 computes each local height H_v(x) once, in one table shared by its rows'
 canonical heights and its energy table.
 
@@ -200,9 +202,11 @@ def preperiodic_points(F: HomogeneousLift, search_bound: float) -> list:
     """All preperiodic points of f with Weil height <= search_bound.
 
     Complete for the searched box; globally complete exactly when
-    search_bound >= preperiodic_height_bound(F).
+    search_bound >= preperiodic_height_bound(F).  No preperiodic point lies
+    above that bound, so the scan stops there.
     """
-    return [x for x, rec in _scan(F, search_bound) if rec.status == "preperiodic"]
+    bound = min(search_bound, preperiodic_height_bound(F))
+    return [x for x, rec in _scan(F, bound) if rec.status == "preperiodic"]
 
 
 # ---------------------------------------------------------------------------

@@ -300,6 +300,8 @@ def main(argv=None) -> int:
             print("error: --format csv is only supported for census", file=sys.stderr)
             return 2
         out = _census_csv(payload)
+        for w in payload.warnings:  # the CSV rows have no place for them
+            print(f"warning: {w}", file=sys.stderr)
     else:
         obj = payload.to_json_dict() if hasattr(payload, "to_json_dict") else payload
         out = json.dumps(obj, sort_keys=True, separators=(",", ":")) + "\n"

@@ -15,11 +15,13 @@ canonical (content-1) lift F are integers, giving ||F(z)||_p >= |Res(F)|_p
 the archimedean place with A' an exact bound on the cofactor forms over
 the unit ball.
 
-Archimedean iteration uses floats with exact binary renormalization each
-step (so magnitudes never leave [1/2, 1)); p-adic iteration works modulo a
-power of p large enough that every valuation read off is exact, with the
-per-step rescaling exactly compensated through the homogeneity identity
-H(lambda z) = H(z) + log|lambda|_v.
+Each place has one orbit kernel, read by both the local height and the
+escape test (``verify_escape``).  At the archimedean place it is a float
+orbit with exact binary renormalization each step (so magnitudes never
+leave [1/2, 1)).  At a finite place it is the residue orbit mod
+p^((n+1)e+2), e = ord_p Res(F): every step valuation read off is exact,
+so no exact rational is iterated.  The per-step rescaling is compensated
+exactly through the homogeneity identity H(lambda z) = H(z) + log|lambda|_v.
 """
 
 from __future__ import annotations
@@ -54,14 +56,13 @@ class StepErrorConstant:
 class EscapeRadius:
     """Radius R >= 1 with: ||z||_v > (1+delta) R forces ||F^n(z)||_v -> infinity.
 
-    At a finite place the radius is exactly p^exponent with the rational
-    exponent stored alongside the float; archimedean radii are certified
-    floats (rounded outward).
+    At a finite place R is p^(e/(d-1)), e = ord_p Res(F), as a float (the
+    escape test compares exactly, through e); archimedean radii are
+    certified floats (rounded outward).
     """
 
     place: Place
     R: float
-    exponent: Fraction | None = None
 
 
 def step_error_constants(F: HomogeneousLift, v: Place) -> StepErrorConstant:
@@ -95,12 +96,11 @@ def escape_radius(F: HomogeneousLift, v: Place) -> EscapeRadius:
         r = (2.0 * F.cofactor_bound / abs(F.resultant)) ** (1.0 / (d - 1))
         return EscapeRadius(v, max(1.0, _up(r)))
     e = ord_int(F.resultant, v.prime)
-    exponent = Fraction(e, d - 1)
-    return EscapeRadius(v, float(v.prime) ** (e / (d - 1)), exponent)
+    return EscapeRadius(v, float(v.prime) ** (e / (d - 1)))
 
 
 # ---------------------------------------------------------------------------
-# Homogeneous local height
+# Orbit kernels: one renormalized orbit per place
 # ---------------------------------------------------------------------------
 
 
@@ -109,47 +109,24 @@ def _binary_exponent(x: Fraction) -> int:
     return x.numerator.bit_length() - x.denominator.bit_length()
 
 
-def _eval_form_float(coeffs, d: int, x: float, y: float) -> float:
-    acc = 0.0
-    xp = 1.0
-    ypow = [1.0]
-    for _ in range(d):
-        ypow.append(ypow[-1] * y)
-    for i, c in enumerate(coeffs):
-        if c:
-            acc += c * xp * ypow[d - i]
-        xp *= x
-    return acc
+def _arch_steps(F: HomogeneousLift, x0: Fraction, x1: Fraction, n_steps: int):
+    """Yield t_k = log||F(u_k)|| - d log||u_k|| for k = 0 .. n_steps - 1.
 
-
-def _arch_local_height(F: HomogeneousLift, x0: Fraction, x1: Fraction, n_iter: int):
+    u_0 = (x0, x1) / 2^e as floats and u_{k+1} = F(u_k) / 2^e', both powers
+    of two exact, so log||F^n(x)|| = d^n log||x|| + sum_k d^(n-1-k) t_k while
+    every float stays near [1/2, 1).
+    """
     d = F.d
-    const = step_error_constants(F, Place.archimedean())
-    m = max(abs(x0), abs(x1))
-    log0 = log_abs_certified(m)
-    e0 = _binary_exponent(m)
-    scale0 = Fraction(2) ** e0
-    u0, u1 = float(x0 / scale0), float(x1 / scale0)
-    acc = 0.0
-    pad = log0.err
-    weight = 1.0 / d
-    pc, qc = F.P.coeffs, F.Q.coeffs
-    for _ in range(n_iter):
-        w0 = _eval_form_float(pc, d, u0, u1)
-        w1 = _eval_form_float(qc, d, u0, u1)
+    scale = Fraction(2) ** _binary_exponent(max(abs(x0), abs(x1)))
+    u0, u1 = float(x0 / scale), float(x1 / scale)
+    for _ in range(n_steps):
+        w0, w1 = F.P.evaluate(u0, u1), F.Q.evaluate(u0, u1)
         nw = max(abs(w0), abs(w1))
         if nw == 0.0 or math.isinf(nw) or math.isnan(nw):
             raise ArithmeticError("archimedean iteration left the certified float range")
-        nu = max(abs(u0), abs(u1))
-        t = math.log(nw) - d * math.log(nu)
-        acc += weight * t
-        pad += weight * 1e-14 * (1.0 + abs(t))
-        weight /= d
+        yield math.log(nw) - d * math.log(max(abs(u0), abs(u1)))
         _, ex = math.frexp(nw)
         u0, u1 = math.ldexp(w0, -ex), math.ldexp(w1, -ex)
-    tail = const.magnitude() / (d**n_iter * (d - 1))
-    err = _up(_up(tail) + _up(pad) + 4.0 * _EPS * (abs(acc) + abs(log0.value)))
-    return CertifiedValue(log0.value + acc, err)
 
 
 def _frac_to_residue(x: Fraction, modulus: int) -> int:
@@ -159,54 +136,70 @@ def _frac_to_residue(x: Fraction, modulus: int) -> int:
     return (num * pow(den, -1, modulus)) % modulus
 
 
-def _eval_form_mod(coeffs, d: int, x: int, y: int, modulus: int) -> int:
-    acc = 0
-    xp = 1
-    ypow = [1]
-    for _ in range(d):
-        ypow.append(ypow[-1] * y % modulus)
-    for i, c in enumerate(coeffs):
-        if c:
-            acc = (acc + c * xp * ypow[d - i]) % modulus
-        xp = xp * x % modulus
-    return acc
+def _padic_steps(F: HomogeneousLift, x0: Fraction, x1: Fraction, p: int, n_steps: int):
+    """(m0, [m_1, ..., m_n]) with ||x||_p = p^-m0 and m_k the valuation of
+    F(u_(k-1)), u_0 = x / p^m0 and u_k = F(u_(k-1)) / p^m_k, so that
+    ||F^n(x)||_p = p^-(d^n m0 + sum_k d^(n-k) m_k).
 
-
-def _padic_local_height(F: HomogeneousLift, x0: Fraction, x1: Fraction, p: int, n_iter: int):
-    d = F.d
+    Every m_k <= e = ord_p Res(F) (cofactor identity), so the orbit runs mod
+    p^((n+1)e+2), dropping m_k digits per step, and each valuation is exact.
+    """
     e = ord_int(F.resultant, p)
-    v0, v1 = ord_fraction(x0, p), ord_fraction(x1, p)
-    m0 = min(v0, v1)
-    if e == 0:
-        # every step term vanishes: H = log||x||_p = -m0 log p, no truncation
-        if m0 == 0:
-            return CertifiedValue.exact_zero()
-        return log_rational_multiple(-m0, p)
-    pf = Fraction(p)
-    u0, u1 = x0 / pf**m0, x1 / pf**m0  # min valuation now 0
-    remaining = (n_iter + 1) * e + 2
+    m0 = min(ord_fraction(x0, p), ord_fraction(x1, p))
+    remaining = (n_steps + 1) * e + 2
     modulus = p**remaining
-    z0 = _frac_to_residue(u0, modulus)
-    z1 = _frac_to_residue(u1, modulus)
-    # H = -m0 - sum_{k=1..n} m_k / d^k; Horner keeps the integer numerator
-    # over d^n, so no Fraction arithmetic runs inside the loop
-    num = 0
-    pc, qc = F.P.coeffs, F.Q.coeffs
-    for _ in range(n_iter):
-        w0 = _eval_form_mod(pc, d, z0, z1, modulus)
-        w1 = _eval_form_mod(qc, d, z0, z1, modulus)
+    scale = Fraction(p) ** m0  # u_0 has min valuation 0
+    z0, z1 = _frac_to_residue(x0 / scale, modulus), _frac_to_residue(x1 / scale, modulus)
+    steps = []
+    for _ in range(n_steps):
+        w0, w1 = F.P.evaluate(z0, z1) % modulus, F.Q.evaluate(z0, z1) % modulus
         m = min(
             ord_int(w0, p) if w0 else remaining,
             ord_int(w1, p) if w1 else remaining,
         )
         if m > e:  # impossible for a unit-content lift; guards precision bugs
             raise ArithmeticError("p-adic step valuation exceeded its certified bound")
-        num = num * d - m
+        steps.append(m)
         shift = p**m
         remaining -= m
-        modulus = p**remaining
-        z0 = (w0 // shift) % modulus
-        z1 = (w1 // shift) % modulus
+        modulus //= shift
+        z0, z1 = w0 // shift, w1 // shift  # already below the new modulus
+    return m0, steps
+
+
+# ---------------------------------------------------------------------------
+# Homogeneous local height
+# ---------------------------------------------------------------------------
+
+
+def _arch_local_height(F: HomogeneousLift, x0: Fraction, x1: Fraction, n_iter: int):
+    d = F.d
+    const = step_error_constants(F, Place.archimedean())
+    log0 = log_abs_certified(max(abs(x0), abs(x1)))
+    acc = 0.0
+    pad = log0.err
+    weight = 1.0 / d
+    for t in _arch_steps(F, x0, x1, n_iter):
+        acc += weight * t
+        pad += weight * 1e-14 * (1.0 + abs(t))
+        weight /= d
+    tail = const.magnitude() / (d**n_iter * (d - 1))
+    err = _up(_up(tail) + _up(pad) + 4.0 * _EPS * (abs(acc) + abs(log0.value)))
+    return CertifiedValue(log0.value + acc, err)
+
+
+def _padic_local_height(F: HomogeneousLift, x0: Fraction, x1: Fraction, p: int, n_iter: int):
+    d = F.d
+    e = ord_int(F.resultant, p)
+    # at good reduction every step valuation is 0: H = -m0 log p, no truncation
+    m0, steps = _padic_steps(F, x0, x1, p, n_iter if e else 0)
+    if e == 0:
+        return log_rational_multiple(-m0, p)
+    # H = -m0 - sum_{k=1..n} m_k / d^k; Horner keeps the integer numerator
+    # over d^n, so no Fraction arithmetic runs per step
+    num = 0
+    for m in steps:
+        num = num * d - m
     cv = log_rational_multiple(Fraction(num, d**n_iter) - m0, p)
     tail = (e * math.log(p)) / (d**n_iter * (d - 1))
     return cv.widen(_up(tail))
@@ -302,13 +295,17 @@ def green_pairing_from_heights(
 def verify_escape(
     F: HomogeneousLift, v: Place, z, n_steps: int, delta: float
 ) -> bool:
-    """Check the certified escape induction for n_steps iterations.
+    """Check the certified escape induction for n_steps >= 1 iterations.
 
     Precondition (refused otherwise): ||z||_v > (1 + delta) * R(F)_v for the
     caller-supplied delta > 0.  Returns True iff ||F^k(z)||_v grows strictly
     with per-step ratio at least (1 + delta)^(d-1), which the radius bound
-    guarantees; exact rational arithmetic at finite places.
+    guarantees.  The norms are read off the local-height orbits: the float
+    orbit at infinity, and at a finite place the exact step valuations of
+    the orbit mod p^((n+1)e+2), e = ord_p Res(F), compared as exponents of p.
     """
+    if n_steps < 1:
+        raise InputError("n_steps must be >= 1")
     if delta <= 0:
         raise InputError("delta must be positive")
     d = F.d
@@ -317,56 +314,39 @@ def verify_escape(
         raise InputError("(0, 0) cannot escape")
     rad = escape_radius(F, v)
     if v.is_archimedean:
-        norm = float(max(abs(z0), abs(z1)))
-        if not norm > (1.0 + delta) * rad.R:
+        m = max(abs(z0), abs(z1))
+        if not float(m) > (1.0 + delta) * rad.R:
             raise EscapePreconditionError(
-                f"||z|| = {norm} is not above (1+delta) R = {(1.0 + delta) * rad.R}"
+                f"||z|| = {float(m)} is not above (1+delta) R = {(1.0 + delta) * rad.R}"
             )
         ratio = (d - 1) * math.log1p(delta)
-        m = max(abs(z0), abs(z1))
         e0 = _binary_exponent(m)
-        u0, u1 = float(z0 / Fraction(2) ** e0), float(z1 / Fraction(2) ** e0)
         lognorm = math.log(float(m / Fraction(2) ** e0)) + e0 * math.log(2.0)
-        pc, qc = F.P.coeffs, F.Q.coeffs
-        for _ in range(n_steps):
-            w0 = _eval_form_float(pc, d, u0, u1)
-            w1 = _eval_form_float(qc, d, u0, u1)
-            nw = max(abs(w0), abs(w1))
-            nu = max(abs(u0), abs(u1))
-            step = math.log(nw) - d * math.log(nu)
-            new_lognorm = d * lognorm + step
+        for t in _arch_steps(F, z0, z1, n_steps):
+            new_lognorm = d * lognorm + t
             if not new_lognorm - lognorm >= ratio:
                 return False
             lognorm = new_lognorm
-            _, ex = math.frexp(nw)
-            u0, u1 = math.ldexp(w0, -ex), math.ldexp(w1, -ex)
         return True
     # finite place: all comparisons exact
     p = v.prime
     e = ord_int(F.resultant, p)
     m0 = min(ord_fraction(z0, p), ord_fraction(z1, p))
     # ||z|| > (1+delta) R  <=>  p^(-m0 (d-1) - e) > (1+delta)^(d-1)
-    lhs = Fraction(p) ** (-m0 * (d - 1) - e)
-    dlt = Fraction(delta)  # exact float-to-rational conversion
-    ratio = (1 + dlt) ** (d - 1)
-    if not lhs > ratio:
+    ratio = (1 + Fraction(delta)) ** (d - 1)  # exact float-to-rational conversion
+    if not Fraction(p) ** (-m0 * (d - 1) - e) > ratio:
         raise EscapePreconditionError(
             f"||z||_{p} = p^{-m0} is not above (1+delta) R = (1+delta) p^({e}/{d - 1})"
         )
-    # normalized coordinates cur with min valuation 0; the true iterate has
-    # ||F^k(z)||_p = p^(-M_k) with M_{k+1} = d M_k + (min valuation of F(cur))
-    scale = Fraction(p) ** m0
-    cur0, cur1 = z0 / scale, z1 / scale
-    big_m = m0
-    for _ in range(n_steps):
-        w0 = F.P.evaluate(cur0, cur1)
-        w1 = F.Q.evaluate(cur0, cur1)
-        mu = min(ord_fraction(w0, p), ord_fraction(w1, p))
-        new_big_m = d * big_m + mu
-        # growth ratio p^(M_k - M_{k+1}) must be >= (1+delta)^(d-1) and > 1
-        if not (new_big_m < big_m and Fraction(p) ** (big_m - new_big_m) >= ratio):
+    # ||F^k(z)||_p = p^(-M_k) with M_{k+1} = d M_k + m_{k+1}; the growth
+    # p^(M_k - M_{k+1}) reaches the ratio iff M_k - M_{k+1} >= k_min
+    k_min = 1
+    while p**k_min * ratio.denominator < ratio.numerator:
+        k_min += 1
+    big_m, steps = _padic_steps(F, z0, z1, p, n_steps)
+    for m in steps:
+        new_big_m = d * big_m + m
+        if big_m - new_big_m < k_min:
             return False
-        shift = Fraction(p) ** mu
-        cur0, cur1 = w0 / shift, w1 / shift
         big_m = new_big_m
     return True

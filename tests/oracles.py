@@ -7,7 +7,9 @@ height oracle runs the defining limit d^-n h(f^n x) on raw integer pairs,
 the local-height oracle iterates exact Fractions with no renormalization,
 and the multiplier oracle finds fixed points numerically at 60 digits.
 The full-scan descent is the reference for the hole-guided one: it
-evaluates all p + 1 tree neighbors at every step.
+evaluates all p + 1 tree neighbors at every step.  The p-adic escape oracle
+iterates exact Fractions, where the library reads valuations off a residue
+orbit.
 """
 
 from __future__ import annotations
@@ -126,6 +128,31 @@ def local_height_arch_oracle(F, z, n: int) -> float:
     with mpmath.workdps(60):
         val = mpmath.log(mpmath.mpf(big.numerator)) - mpmath.log(mpmath.mpf(big.denominator))
         return float(val / d**n)
+
+
+def exact_padic_escape(F, z, p: int, n_steps: int, delta: float) -> bool:
+    """The escape induction at p on exact Fraction iterates, no precision bound.
+
+    True iff ||F^k(z)||_p = p^-M_k grows by at least (1 + delta)^(d-1) at
+    each of n_steps steps.  The iterates are rescaled by powers of p only,
+    so their numerators grow like d^k digits: keep n_steps small.
+    """
+    d = F.d
+    z0, z1 = Fraction(z[0]), Fraction(z[1])
+    ratio = (1 + Fraction(delta)) ** (d - 1)
+    big_m = min(_ord_frac(z0, p), _ord_frac(z1, p))
+    scale = Fraction(p) ** big_m
+    cur0, cur1 = z0 / scale, z1 / scale
+    for _ in range(n_steps):
+        w0, w1 = F.P.evaluate(cur0, cur1), F.Q.evaluate(cur0, cur1)
+        mu = min(_ord_frac(w0, p), _ord_frac(w1, p))
+        new_big_m = d * big_m + mu
+        if not (new_big_m < big_m and Fraction(p) ** (big_m - new_big_m) >= ratio):
+            return False
+        shift = Fraction(p) ** mu
+        cur0, cur1 = w0 / shift, w1 / shift
+        big_m = new_big_m
+    return True
 
 
 def _ord_int(n: int, p: int) -> int:

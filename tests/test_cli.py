@@ -176,6 +176,62 @@ def test_escape_cli(map_file):
     assert json.loads(proc.stdout)["escapes"] is True
 
 
+THREE_Z4 = {"d": 4, "P": ["3", "0", "0", "0", "0"], "Q": ["0", "0", "0", "0", "1"]}
+
+
+@pytest.mark.parametrize("steps", ["0", "-5"])
+def test_escape_steps_below_one_exits_2(map_file, steps):
+    proc = run_cli(
+        "escape", "--map", map_file(THREE_Z2), "--place", "3", "--z", "[1/27:1]",
+        "--steps", steps, timeout=10,
+    )
+    assert proc.returncode == 2
+    assert proc.stdout == ""
+    assert "n_steps must be >= 1" in proc.stderr and "Traceback" not in proc.stderr
+
+
+# the exact iterates of these orbits have numerators of d^k digits: the
+# escape test must read valuations off the residue orbit, not off them
+@pytest.mark.parametrize(
+    "obj, z, steps",
+    [(THREE_Z4, "[1/27:1]", "10"), (THREE_Z2, "[1/243:1]", "200")],
+    ids=["3z4-default-steps", "3z2-200-steps"],
+)
+def test_padic_escape_runs_many_steps(map_file, obj, z, steps):
+    start = time.perf_counter()
+    proc = run_cli(
+        "escape", "--map", map_file(obj), "--place", "3", "--z", z, "--steps", steps,
+        timeout=10,
+    )
+    elapsed = time.perf_counter() - start
+    assert proc.returncode == 0
+    assert json.loads(proc.stdout)["escapes"] is True
+    assert elapsed < 2.0  # interpreter start included
+
+
+def test_census_csv_writes_warnings_to_stderr(map_file):
+    # z^2 + 1/6 counts 72 points here, above the 60-point energy-table cap
+    proc = run_cli(
+        "census", "--map", map_file(SIXTH), "--bound", "2.0", "--t-fraction", "30",
+        "--format", "csv",
+    )
+    assert proc.returncode == 0
+    warnings = [line for line in proc.stderr.splitlines() if line.startswith("warning: ")]
+    assert warnings == ["warning: energy table truncated to the first 60 counted points"]
+
+
+def test_preperiodic_scan_stops_at_the_proven_bound(map_file):
+    # the box of height 12 holds about 3.2e10 points; no preperiodic point of
+    # z^2 - 1 lies above height 1.0987
+    path = map_file(Z2_MINUS_1)
+    big = run_cli("preperiodic", "--map", path, "--bound", "12", timeout=10)
+    small = run_cli("preperiodic", "--map", path, "--bound", "1.2", timeout=10)
+    assert big.returncode == 0 and small.returncode == 0
+    out_big, out_small = json.loads(big.stdout), json.loads(small.stdout)
+    assert out_big["points"] == out_small["points"] == ["[-1:1]", "[0:1]", "[1:0]", "[1:1]"]
+    assert out_big["search_bound"] == 12.0 and out_big["complete_global"] is True
+
+
 def test_gap_cli(map_file):
     proc = run_cli("gap", "--map", map_file(MONOMIAL), "--bound", "1.1")
     assert proc.returncode == 0
@@ -325,6 +381,12 @@ def _digest_panel(map_file):
             (f"{label}/census-cap", cap),
             (f"{label}/census-cap-csv", [*cap, "--format", "csv"]),
         ]
+    m = ["--map", map_file(THREE_Z4, "3z4.json")]
+    calls += [
+        ("3z4/escape-3", ["escape", *m, "--place", "3", "--z", "[1/27:1]", "--steps", "8"]),
+        ("3z4/escape-inf", ["escape", *m, "--place", "inf", "--z", "[40:1]"]),
+        ("3z4/height", ["height", *m, "--point", "[2:1]"]),
+    ]
     m = ["--map", map_file(NONCANON, "noncanon.json")]
     calls += [
         ("noncanon/resultant", ["resultant", *m]),
@@ -349,7 +411,8 @@ def _run_in_process(argv):
 #: before the per-map invariants were cached on the lift and conjugation
 #: moved to integers, the next 13 (escape, orbit, the non-canonical map) before
 #: every lift was made canonical on construction, the census-cap ones before
-#: the census became a single scan
+#: the census became a single scan, the 3z4 ones before the escape test moved
+#: onto the local-height orbits
 PINNED_DIGESTS = {
     "z2m1/resultant": (0, "811ec1753d4fb38ff572ecc90df1450a943644c18eb94ea49321e0a028114f25"),
     "z2m1/badplaces": (0, "fe216fd668d598b136827f8cc6d34f21e18ad4489ec0a61ff9b9153f80307b3f"),
@@ -405,6 +468,9 @@ PINNED_DIGESTS = {
     "z2m1/census-cap-csv": (0, "8141bcf6faac05e8957d0536bf07ca8555d3cb8900b8c57f92e7df8eb4c34443"),
     "sixth/census-cap": (0, "1d9ab0603fb0ca9aa36f8d15ea9a4266227f05c27a10fa0e320c266fb41f1e11"),
     "sixth/census-cap-csv": (0, "ca2d22cae547e7fef156253d41054e0c5740d1b739776dbc21bfa0cb292ea6ba"),
+    "3z4/escape-3": (0, "a717bc401e3bc59ea97dfee55817908575888053626df857a1e325326fa9e16e"),
+    "3z4/escape-inf": (0, "8a2d7f62909e4f0f97a1d206694bec874cb44e437cfe4a4ba148af7a5dbf218d"),
+    "3z4/height": (0, "c97919882ba22f5e4e84731fc03a6f80475efd885a9853af7cffe26d115b809d"),
 }
 
 

@@ -22,7 +22,7 @@ from dynheights import (
 from dynheights.maps_core import sylvester_cofactor_pair
 
 from conftest import lift, random_lift
-from oracles import local_height_arch_oracle, local_height_padic_oracle
+from oracles import exact_padic_escape, local_height_arch_oracle, local_height_padic_oracle
 
 INF = Place.archimedean()
 
@@ -307,3 +307,25 @@ def test_verify_escape_random_maps():
                     m += 1
                 z = (Fraction(1, p**m), Fraction(1))
             assert verify_escape(F, v, z, 6, 0.1)
+
+
+def test_verify_escape_matches_exact_fraction_oracle():
+    # ||z||_p = p^a just above the radius and delta up to the precondition's
+    # edge, so the required growth p^k_min is often met with equality
+    rng = random.Random(808)
+    for _ in range(40):
+        d = rng.choice([2, 3, 4])
+        F = random_lift(rng, d, coeff_bound=10)
+        for p in (2, 3, 5, 7):
+            v = Place.finite(p)
+            R = escape_radius(F, v).R
+            a = 1
+            while p**a <= 1.01 * R:
+                a += 1
+            a += rng.randint(0, 1)
+            num = rng.choice([c for c in range(1, 30) if c % p])
+            z = (Fraction(num, p**a), Fraction(rng.randint(-9, 9)))
+            delta = rng.uniform(0.0, 0.999) * (p**a / R - 1.0) or 0.01
+            n = rng.randint(1, 6)
+            expected = exact_padic_escape(F, z, p, n, delta)
+            assert verify_escape(F, v, z, n, delta) is expected is True
