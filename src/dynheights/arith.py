@@ -2,8 +2,8 @@
 
 Everything here is deterministic and allocation-light: valuations by
 exponential lifting (so valuations of million-bit integers stay cheap),
-fraction-free Bareiss determinants over the integers, plain Gaussian
-elimination over Fraction, and thin wrappers around sympy's factorization.
+fraction-free Bareiss determinants over the integers, and thin wrappers
+around sympy's factorization.
 """
 
 from __future__ import annotations
@@ -112,26 +112,3 @@ def bareiss_det(rows) -> int:
         prev = a[k][k]
     return sign * a[n - 1][n - 1]
 
-
-def det_fraction(rows) -> Fraction:
-    """Determinant of a square Fraction matrix by exact Gaussian elimination."""
-    a = [[Fraction(x) for x in row] for row in rows]
-    n = len(a)
-    sign = 1
-    out = Fraction(1)
-    for k in range(n):
-        pivot = next((i for i in range(k, n) if a[i][k] != 0), None)
-        if pivot is None:
-            return Fraction(0)
-        if pivot != k:
-            a[k], a[pivot] = a[pivot], a[k]
-            sign = -sign
-        out *= a[k][k]
-        inv = 1 / a[k][k]
-        for i in range(k + 1, n):
-            if a[i][k] == 0:
-                continue
-            r = a[i][k] * inv
-            for j in range(k, n):
-                a[i][j] -= r * a[k][j]
-    return sign * out

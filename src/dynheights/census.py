@@ -179,6 +179,8 @@ def enumerate_points(height_bound: float) -> list:
 
 def _orbit_budget(height_bound: float) -> int:
     """Budget large enough that orbits below the bound must close up."""
+    if height_bound > math.log(_ORBIT_BUDGET_CAP):  # the box alone has more points
+        return _ORBIT_BUDGET_CAP
     n = _box_radius(height_bound)
     states = (2 * n + 1) * (n + 1) + 2
     return min(states + 2, _ORBIT_BUDGET_CAP)

@@ -172,6 +172,13 @@ def _padic_steps(F: HomogeneousLift, x0: Fraction, x1: Fraction, p: int, n_steps
 # ---------------------------------------------------------------------------
 
 
+def _series_tail(bound: float, d: int, n_iter: int) -> float:
+    """bound / (d^n (d - 1)), correctly rounded: one exact integer division,
+    so d^n may exceed the float range (from n = 1024 at d = 2)."""
+    num, den = bound.as_integer_ratio()
+    return num / (den * d**n_iter * (d - 1))
+
+
 def _arch_local_height(F: HomogeneousLift, x0: Fraction, x1: Fraction, n_iter: int):
     d = F.d
     const = step_error_constants(F, Place.archimedean())
@@ -183,7 +190,7 @@ def _arch_local_height(F: HomogeneousLift, x0: Fraction, x1: Fraction, n_iter: i
         acc += weight * t
         pad += weight * 1e-14 * (1.0 + abs(t))
         weight /= d
-    tail = const.magnitude() / (d**n_iter * (d - 1))
+    tail = _series_tail(const.magnitude(), d, n_iter)
     err = _up(_up(tail) + _up(pad) + 4.0 * _EPS * (abs(acc) + abs(log0.value)))
     return CertifiedValue(log0.value + acc, err)
 
@@ -201,7 +208,7 @@ def _padic_local_height(F: HomogeneousLift, x0: Fraction, x1: Fraction, p: int, 
     for m in steps:
         num = num * d - m
     cv = log_rational_multiple(Fraction(num, d**n_iter) - m0, p)
-    tail = (e * math.log(p)) / (d**n_iter * (d - 1))
+    tail = _series_tail(e * math.log(p), d, n_iter)
     return cv.widen(_up(tail))
 
 

@@ -33,7 +33,11 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 
-from .arith import abs_p, bareiss_det, content, det_fraction, is_prime, prime_factors_abs
+from sympy.polys.densebasic import dmp_normal
+from sympy.polys.domains import ZZ
+from sympy.polys.euclidtools import dmp_resultant
+
+from .arith import abs_p, bareiss_det, content, is_prime, prime_factors_abs
 from .certified import CertifiedValue, log_abs_certified
 from .errors import (
     DegenerateMapError,
@@ -353,6 +357,11 @@ def sylvester_cofactor_pair(F: HomogeneousLift, target_x: bool) -> tuple:
 # ---------------------------------------------------------------------------
 
 
+def resultant_ratio(F: HomogeneousLift) -> Fraction:
+    """|Res(F)| / max|coeff|^(2d) exactly: |Res(f)|_inf before rounding."""
+    return Fraction(abs(F.resultant), F.max_abs_coeff() ** (2 * F.d))
+
+
 def normalized_resultant_abs(F: HomogeneousLift, v: Place):
     """|Res(f)|_v = |Res(F)|_v / max|coeff|_v^(2d); independent of the lift.
 
@@ -364,7 +373,7 @@ def normalized_resultant_abs(F: HomogeneousLift, v: Place):
     is an exact rational, only the float conversion is inexact).
     """
     if v.is_archimedean:
-        frac = Fraction(abs(F.resultant), F.max_abs_coeff() ** (2 * F.d))
+        frac = resultant_ratio(F)
         value = frac.numerator / frac.denominator
         approx = Fraction(value)
         if approx == frac:
@@ -468,95 +477,37 @@ class MilnorInvariants:
         return self.sigma3 == self.sigma1 - 2
 
 
-def _multiplier_resultant_values(p_asc, q_asc, nodes) -> list:
-    """Res_t(p - t q, num - w q^2) at the given w nodes, formal degrees (3, 4).
-
-    p, q are ascending Fraction coefficient lists of an affine chart in which
-    infinity is not fixed (so deg(p - t q) is exactly 3).
-    """
-    phi = [
-        p_asc[0],
-        p_asc[1] - q_asc[0],
-        p_asc[2] - q_asc[1],
-        -q_asc[2],
-    ]
-    dp = [p_asc[1], 2 * p_asc[2]]
-    dq = [q_asc[1], 2 * q_asc[2]]
-    num = [Fraction(0)] * 5
-    for i, a in enumerate(dp):
-        for j, b in enumerate(q_asc):
-            num[i + j] += a * b
-    for i, a in enumerate(p_asc):
-        for j, b in enumerate(dq):
-            num[i + j] -= a * b
-    q2 = [Fraction(0)] * 5
-    for i, a in enumerate(q_asc):
-        for j, b in enumerate(q_asc):
-            q2[i + j] += a * b
-    phi_desc = phi[::-1]
-    values = []
-    for w in nodes:
-        b_desc = [num[i] - w * q2[i] for i in range(5)][::-1]
-        rows = []
-        for i in range(4):
-            rows.append([Fraction(0)] * i + phi_desc + [Fraction(0)] * (4 - 1 - i))
-        for i in range(3):
-            rows.append([Fraction(0)] * i + b_desc + [Fraction(0)] * (3 - 1 - i))
-        values.append(det_fraction(rows))
-    return values
-
-
 def milnor_invariants(F: HomogeneousLift) -> MilnorInvariants:
     """Exact (sigma1, sigma2, sigma3) of a quadratic map, no root extraction.
 
-    The three fixed points are the roots of y*P - x*Q; their multipliers are
-    values of f' = (p'q - pq')/q^2 there.  Eliminating the fixed point via a
-    formal resultant in the multiplier variable w gives a cubic proportional
-    to (lambda1 - w)(lambda2 - w)(lambda3 - w), whose coefficient ratios are
-    the sigma_i as exact rationals.  The map is first conjugated by
-    z -> 1/(z - s), for the smallest non-fixed integer s >= 0, so that
-    infinity is not a fixed point of the chart; the sigma_i are conjugation
-    invariants, so this does not affect the result.
+    The map is first conjugated by z -> 1/(z - s), for the smallest
+    non-fixed integer s >= 0 (there are at most d + 1 fixed points), so that
+    infinity is not fixed in the chart f = p/q; the sigma_i are conjugation
+    invariants, so this does not affect the result.  The fixed points are
+    then the d + 1 roots of phi = p - z q, and at each of them p = z q gives
+    f' = (p'q - pq')/q^2 = 1 + phi'/q.  Hence
+
+        Res_z(phi, (w - 1) q - phi') = c * prod_i (w - lambda_i),
+
+    with c = lc(phi)^2 * prod_i q(z_i) != 0 (q has no common root with p).
+    With m_0, ..., m_3 the coefficients from w^3 down, sigma_k =
+    (-1)^k m_k / m_0 exactly: one integer resultant in the multiplier
+    variable w.
     """
     if F.d != 2:
         raise UnsupportedDegreeError("Milnor coordinates are defined for degree 2 only")
-    s = None
-    for cand in range(5):
-        ps = F.P.evaluate(Fraction(cand), Fraction(1))
-        qs = F.Q.evaluate(Fraction(cand), Fraction(1))
-        if ps != cand * qs:
-            s = cand
-            break
-    if s is None:  # three fixed points at most; cannot happen
-        raise InputError("could not find a non-fixed base point")
+    s = next(s for s in range(F.d + 2) if F.P.evaluate(s, 1) != s * F.Q.evaluate(s, 1))
     chart = conjugate(F, Mobius(0, 1, 1, -s))
-    p_asc = [Fraction(c) for c in chart.P.coeffs]
-    q_asc = [Fraction(c) for c in chart.Q.coeffs]
-    if q_asc[2] == 0:  # infinity fixed would mean s was fixed after all
-        raise InputError("chart normalization failed")
-    nodes = [Fraction(w) for w in range(4)]
-    vals = _multiplier_resultant_values(p_asc, q_asc, nodes)
-    # Lagrange interpolation of the cubic M(w) = m0 + m1 w + m2 w^2 + m3 w^3
-    m = [Fraction(0)] * 4
-    for i, yi in enumerate(vals):
-        basis = [Fraction(1)]
-        denom = Fraction(1)
-        for j in range(4):
-            if j == i:
-                continue
-            new = [Fraction(0)] * (len(basis) + 1)
-            for k, bk in enumerate(basis):
-                new[k] += bk * (-j)
-                new[k + 1] += bk
-            basis = new
-            denom *= i - j
-        for k in range(4):
-            m[k] += yi * basis[k] / denom
-    if m[3] == 0:
-        raise InputError("degenerate multiplier cubic")
-    sigma1 = -m[2] / m[3]
-    sigma2 = m[1] / m[3]
-    sigma3 = -m[0] / m[3]
+    p, q = chart.P.coeffs, chart.Q.coeffs
+    phi = [p[0], p[1] - q[0], p[2] - q[1], -q[2]]  # ascending in z
+    dphi = [k * c for k, c in enumerate(phi)][1:]
+    # two-level dense polynomials: z outer, w inner, both descending
+    phi_zw = dmp_normal([[c] for c in reversed(phi)], 1, ZZ)
+    psi_zw = dmp_normal([[b, -b - c] for b, c in zip(reversed(q), reversed(dphi))], 1, ZZ)
+    m = [int(c) for c in dmp_resultant(phi_zw, psi_zw, 1, ZZ)]
+    sigma1 = Fraction(-m[1], m[0])
+    sigma2 = Fraction(m[2], m[0])
+    sigma3 = Fraction(-m[3], m[0])
     den = sigma1.denominator
     den = den * sigma2.denominator // math.gcd(den, sigma2.denominator)
     coords = (int(sigma1 * den), int(sigma2 * den), den)

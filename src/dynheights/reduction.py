@@ -50,7 +50,7 @@ from sympy.polys.galoistools import gf_factor, gf_from_int_poly, gf_gcd
 
 from .arith import is_prime, ord_fraction, ord_int
 from .errors import InputError, OracleRadiusError
-from .maps_core import HomogeneousLift, Mobius, Place, conjugate, normalized_resultant_abs
+from .maps_core import HomogeneousLift, Mobius, conjugate, resultant_ratio
 
 #: descent gives up after 4*ord_start + 4 moves (defensive: each move strictly
 #: decreases a nonnegative integer, so the cap is never reached in practice)
@@ -437,12 +437,14 @@ def h_res(F: HomogeneousLift) -> ResultantHeight:
     finite_part = 0.0
     for p, o in report.bad_primes:
         finite_part += o * math.log(p)
-    best = 0.0
-    for phi in _arch_conjugator_family(F):
-        val = normalized_resultant_abs(conjugate(F, phi), Place.archimedean()).value
-        if val > best:
-            best = val
-    arch_term = max(0.0, -math.log(best))
+    best = max(resultant_ratio(conjugate(F, phi)) for phi in _arch_conjugator_family(F))
+    value = best.numerator / best.denominator
+    # the float underflows to 0 only on huge coefficients; the exact log is
+    # finite there, since the identity is in the family and Res != 0
+    if value:
+        arch_term = max(0.0, -math.log(value))
+    else:
+        arch_term = math.log(best.denominator) - math.log(best.numerator)
     return ResultantHeight(
         finite_terms=report.bad_primes,
         finite_part=finite_part,

@@ -146,6 +146,39 @@ def test_escape_overflow_exits_3(map_file):
     assert proc.stderr.startswith("error: ") and "Traceback" not in proc.stderr
 
 
+#: 10^400 z^2 + 1: every |Res|/max|coeff|^4 of the h_res conjugator family
+#: underflows to 0.0 as a float
+HUGER = {"d": 2, "P": ["1" + "0" * 400, "0", "1"], "Q": ["0", "0", "1"]}
+
+
+@pytest.mark.parametrize("argv", [["census", "--bound", "0.7"], ["compare"]], ids=" ".join)
+def test_h_res_on_huge_coefficients_exits_3(map_file, argv):
+    # h_res stays finite; the run stops later, at a float overflow
+    command, *rest = argv
+    proc = run_cli(command, "--map", map_file(HUGER), *rest, timeout=30)
+    assert proc.returncode == 3
+    assert proc.stdout == ""
+    assert proc.stderr.startswith("error: ") and len(proc.stderr.splitlines()) == 1
+
+
+def test_preperiodic_on_huge_coefficients(map_file):
+    # the preperiodic height bound is about 2,764: its exp overflows a float
+    proc = run_cli("preperiodic", "--map", map_file(HUGER), "--bound", "0.7", timeout=30)
+    assert proc.returncode == 0
+    assert json.loads(proc.stdout)["points"] == ["[1:0]"]
+
+
+def test_height_runs_many_iterations(map_file):
+    # d^n (d - 1) is above the float range from n = 1024 on at d = 2
+    path = map_file({"d": 2, "P": ["2", "0", "1"], "Q": ["0", "0", "2"]})
+    many = run_cli("height", "--map", path, "--point", "[-3:2]", "--iters", "1100", timeout=30)
+    few = run_cli("height", "--map", path, "--point", "[-3:2]", "--iters", "60", timeout=30)
+    assert many.returncode == 0 and few.returncode == 0
+    out_many, out_few = json.loads(many.stdout), json.loads(few.stdout)
+    assert out_many["total"]["err"] <= out_few["total"]["err"]
+    assert out_many["total"]["value"] == pytest.approx(out_few["total"]["value"], abs=1e-12)
+
+
 #: calls (without --map) with a NaN or infinite float option: such a bound
 #: once reached int(exp(bound)) (exit 1 or 3) or never ended the orbit loop,
 #: and -inf or a NaN t-fraction reached stdout as non-JSON -Infinity or NaN
@@ -342,6 +375,14 @@ SIXTH = {"d": 2, "P": ["6", "0", "1"], "Q": ["0", "0", "6"]}  # z^2 + 1/6, Res =
 #: 544, Res of the canonical lift is 34
 NONCANON = {"d": 2, "P": ["-4", "0", "2"], "Q": ["0", "2", "6"]}
 
+HALF = {"d": 2, "P": ["2", "0", "1"], "Q": ["0", "0", "2"]}  # z^2 + 1/2
+#: (label, map) of the Milnor-chart calls of the digest panel
+MILNOR_MAPS = (
+    ("z2pz", {"d": 2, "P": ["1", "1", "0"], "Q": ["0", "0", "1"]}),  # z^2 + z
+    ("zpinv", {"d": 2, "P": ["1", "0", "1"], "Q": ["0", "1", "0"]}),  # z + 1/z
+    ("huge", HUGER),
+)
+
 #: (label, map, prime) of the digest panel
 DIGEST_MAPS = (("z2m1", Z2_MINUS_1, "2"), ("3z2", THREE_Z2, "3"), ("sixth", SIXTH, "3"))
 
@@ -395,6 +436,16 @@ def _digest_panel(map_file):
         ("noncanon/census", ["census", *m, "--bound", "1.4", "--t-fraction", "1.0"]),
     ]
     calls.append(("compare", ["compare", *(a for label in paths for a in ("--map", paths[label]))]))
+    # the Milnor chart: z^2 + z needs s = 1 (0 is fixed), z + 1/z fixes
+    # infinity three times, and the 400-digit map has sigma2 = 4 * 10^800
+    extra = {label: map_file(obj, f"{label}.json") for label, obj in MILNOR_MAPS}
+    calls += [(f"{label}/milnor", ["milnor", "--map", extra[label]]) for label in extra]
+    calls += [
+        ("z2pz/census", ["census", "--map", extra["z2pz"], "--bound", "1.1",
+                         "--t-fraction", "1.0"]),
+        ("compare-parabolic", ["compare", "--map", extra["z2pz"], "--map", extra["zpinv"],
+                               "--map", map_file(HALF, "half.json")]),
+    ]
     return calls
 
 
@@ -412,7 +463,8 @@ def _run_in_process(argv):
 #: moved to integers, the next 13 (escape, orbit, the non-canonical map) before
 #: every lift was made canonical on construction, the census-cap ones before
 #: the census became a single scan, the 3z4 ones before the escape test moved
-#: onto the local-height orbits
+#: onto the local-height orbits, the last five before the Milnor cubic came
+#: from one resultant in the multiplier variable
 PINNED_DIGESTS = {
     "z2m1/resultant": (0, "811ec1753d4fb38ff572ecc90df1450a943644c18eb94ea49321e0a028114f25"),
     "z2m1/badplaces": (0, "fe216fd668d598b136827f8cc6d34f21e18ad4489ec0a61ff9b9153f80307b3f"),
@@ -471,6 +523,11 @@ PINNED_DIGESTS = {
     "3z4/escape-3": (0, "a717bc401e3bc59ea97dfee55817908575888053626df857a1e325326fa9e16e"),
     "3z4/escape-inf": (0, "8a2d7f62909e4f0f97a1d206694bec874cb44e437cfe4a4ba148af7a5dbf218d"),
     "3z4/height": (0, "c97919882ba22f5e4e84731fc03a6f80475efd885a9853af7cffe26d115b809d"),
+    "z2pz/milnor": (0, "1324aaac24e66c7b6555569a81e94b6a3568b7005daa871d2a7710e2445d8dfc"),
+    "zpinv/milnor": (0, "265ed221780a1c486d476959c79fe7c1bd0395ecb412f381fcc07e2bf949c571"),
+    "huge/milnor": (0, "7ff5b013fcb2f2442456cdb1634f368e5d25e963c3f557345285acdf083e6fa8"),
+    "z2pz/census": (0, "3d624b9783ce3359c68a30801fb5285b0d07b03dd4c16f40137e5a09d232e809"),
+    "compare-parabolic": (0, "407c8500b7a5692e2b68480a659faaec0d273362a9591469e12dae31fc767e54"),
 }
 
 

@@ -199,6 +199,17 @@ def test_truncation_nesting():
             assert abs(b.value - a.value) <= a.err + 1e-12
 
 
+@pytest.mark.parametrize("d, many", [(2, 1100), (4, 600)])
+def test_local_height_runs_past_the_float_range_of_d_to_the_n(d, many):
+    # d^n (d - 1) is above the float range here; the tail divides exactly
+    F = lift([2] + [0] * (d - 1) + [1], [0] * d + [2])  # z^d + 1/2, Res = 2^(2d)
+    for v in (INF, Place.finite(2)):
+        a = hom_local_height(F, (-3, 2), v, 60)
+        b = hom_local_height(F, (-3, 2), v, many)
+        assert b.err <= a.err
+        assert abs(b.value - a.value) <= a.err
+
+
 def test_local_height_rejects_origin_and_bad_iters(monomial):
     with pytest.raises(InputError):
         hom_local_height(monomial, (0, 0), INF, 10)

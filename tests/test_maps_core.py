@@ -283,6 +283,15 @@ def test_milnor_parabolic_cases():
     assert abs(s1 - 3) < 1e-9 and abs(s2 - 3) < 1e-9 and abs(s3 - 1) < 1e-9
 
 
+def test_milnor_matches_numeric_fixed_points():
+    rng = random.Random(2024)
+    for _ in range(40):
+        F = random_lift(rng, 2, coeff_bound=10)
+        inv = milnor_invariants(F)
+        for exact, numeric in zip((inv.sigma1, inv.sigma2, inv.sigma3), sigma_numeric(F)):
+            assert abs(complex(exact) - numeric) <= 1e-9 * max(1.0, abs(numeric))
+
+
 @settings(max_examples=50, deadline=None)
 @given(st.integers(0, 10**6))
 def test_milnor_index_relation_random(seed):

@@ -240,6 +240,13 @@ def test_h_res_examples(monomial, three_z2, z2_plus_half):
     assert hr.total >= hr.finite_part
 
 
+def test_h_res_on_coefficients_beyond_the_float_range():
+    # 10^400 z^2 + 1: |Res| / max|coeff|^4 underflows to 0.0 on every conjugate
+    hr = h_res(lift([10**400, 0, 1], [0, 0, 1]))
+    assert math.isfinite(hr.arch_term)
+    assert 0.0 < hr.arch_term <= 800 * math.log(10)  # the identity is in the family
+
+
 def test_h_res_and_bad_places_unimodular_invariance():
     rng = random.Random(4242)
     shears = [Mobius(1, 1, 0, 1), Mobius(1, 0, -1, 1), Mobius(0, 1, 1, 0)]
