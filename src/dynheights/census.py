@@ -547,7 +547,11 @@ class ComparisonTable:
 
 def _logplus_moduli(sigma1: Fraction, sigma2: Fraction, v: Place) -> float:
     if v.is_archimedean:
-        return math.log(max(1.0, abs(float(sigma1)), abs(float(sigma2))))
+        m = max(Fraction(1), abs(sigma1), abs(sigma2))
+        try:
+            return math.log(float(m))
+        except OverflowError:  # the exact ratio is beyond the float range
+            return math.log(m.numerator) - math.log(m.denominator)
     p = v.prime
     worst = 0
     for s in (sigma1, sigma2):

@@ -278,8 +278,16 @@ def _write_scatter_svg(path: str, rep) -> None:
         cy = (h - margin) - (h - 2 * margin) * (max(hy, 0.0) / ymax if ymax else 0.0)
         lines.append(f'<circle cx="{cx:.2f}" cy="{cy:.2f}" r="3" fill="steelblue"/>')
     lines.append("</svg>")
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write("\n".join(lines) + "\n")
+    _write_file(path, "\n".join(lines) + "\n")
+
+
+def _write_file(path: str, text: str) -> None:
+    """Write text to path; an OSError becomes an InputError (exit 2)."""
+    try:
+        with open(path, "w", encoding="utf-8") as fh:
+            fh.write(text)
+    except OSError as exc:
+        raise InputError(f"cannot write {path}: {exc.strerror or exc}") from exc
 
 
 def main(argv=None) -> int:
@@ -324,9 +332,13 @@ def main(argv=None) -> int:
     )
     print("manifest: " + json.dumps(manifest.to_json_dict(), sort_keys=True), file=sys.stderr)
     if args.manifest:
-        with open(args.manifest, "w", encoding="utf-8") as fh:
-            json.dump(manifest.to_json_dict(), fh, sort_keys=True, indent=2)
-            fh.write("\n")
+        try:
+            _write_file(
+                args.manifest, json.dumps(manifest.to_json_dict(), sort_keys=True, indent=2) + "\n"
+            )
+        except InputError as exc:  # stdout already holds the result
+            print(f"error: {exc}", file=sys.stderr)
+            return 2
     return 3 if uncertified else 0
 
 

@@ -52,11 +52,13 @@ def lift_to_json_dict(F: HomogeneousLift) -> dict:
 
 def load_forms(path: str) -> tuple:
     """The forms (P, Q) of a map file, exactly as given in the file."""
-    with open(path, "r", encoding="utf-8") as fh:
-        try:
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
             obj = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise InputError(f"{path} is not valid JSON: {exc}") from exc
+    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
+        raise InputError(f"{path} is not valid JSON: {exc}") from exc
+    except OSError as exc:
+        raise InputError(f"cannot read {path}: {exc.strerror or exc}") from exc
     return forms_from_json_dict(obj)
 
 

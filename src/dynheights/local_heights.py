@@ -18,9 +18,9 @@ the unit ball.
 Each place has one orbit kernel, read by both the local height and the
 escape test (``verify_escape``).  At the archimedean place it is a float
 orbit with exact binary renormalization each step (so magnitudes never
-leave [1/2, 1)).  At a finite place it is the residue orbit mod
-p^((n+1)e+2), e = ord_p Res(F): every step valuation read off is exact,
-so no exact rational is iterated.  The per-step rescaling is compensated
+leave [1/2, 1)).  At a finite place it is a residue orbit mod p^r with
+r > e = ord_p Res(F) before every step: every step valuation read off is
+exact, so no exact rational is iterated.  The per-step rescaling is compensated
 exactly through the homogeneity identity H(lambda z) = H(z) + log|lambda|_v.
 """
 
@@ -141,30 +141,36 @@ def _padic_steps(F: HomogeneousLift, x0: Fraction, x1: Fraction, p: int, n_steps
     F(u_(k-1)), u_0 = x / p^m0 and u_k = F(u_(k-1)) / p^m_k, so that
     ||F^n(x)||_p = p^-(d^n m0 + sum_k d^(n-k) m_k).
 
-    Every m_k <= e = ord_p Res(F) (cofactor identity), so the orbit runs mod
-    p^((n+1)e+2), dropping m_k digits per step, and each valuation is exact.
+    Every m_k <= e = ord_p Res(F) (cofactor identity), so a valuation read
+    off mod p^r, r > e, is exact.  The orbit runs mod p^r, dropping m_k
+    digits per step, from r = min(2e + 2, (n+1)e + 2); when e or fewer
+    digits remain before a step it restarts at double the precision.
     """
     e = ord_int(F.resultant, p)
     m0 = min(ord_fraction(x0, p), ord_fraction(x1, p))
-    remaining = (n_steps + 1) * e + 2
-    modulus = p**remaining
     scale = Fraction(p) ** m0  # u_0 has min valuation 0
-    z0, z1 = _frac_to_residue(x0 / scale, modulus), _frac_to_residue(x1 / scale, modulus)
-    steps = []
-    for _ in range(n_steps):
-        w0, w1 = F.P.evaluate(z0, z1) % modulus, F.Q.evaluate(z0, z1) % modulus
-        m = min(
-            ord_int(w0, p) if w0 else remaining,
-            ord_int(w1, p) if w1 else remaining,
-        )
-        if m > e:  # impossible for a unit-content lift; guards precision bugs
-            raise ArithmeticError("p-adic step valuation exceeded its certified bound")
-        steps.append(m)
-        shift = p**m
-        remaining -= m
-        modulus //= shift
-        z0, z1 = w0 // shift, w1 // shift  # already below the new modulus
-    return m0, steps
+    full = (n_steps + 1) * e + 2  # here remaining > e before every step: no restart
+    precision = min(2 * e + 2, full)
+    while True:
+        remaining, modulus = precision, p**precision
+        z0, z1 = _frac_to_residue(x0 / scale, modulus), _frac_to_residue(x1 / scale, modulus)
+        steps = []
+        while len(steps) < n_steps and remaining > e:
+            w0, w1 = F.P.evaluate(z0, z1) % modulus, F.Q.evaluate(z0, z1) % modulus
+            m = min(
+                ord_int(w0, p) if w0 else remaining,
+                ord_int(w1, p) if w1 else remaining,
+            )
+            if m > e:  # impossible for a unit-content lift; guards precision bugs
+                raise ArithmeticError("p-adic step valuation exceeded its certified bound")
+            steps.append(m)
+            shift = p**m
+            remaining -= m
+            modulus //= shift
+            z0, z1 = w0 // shift, w1 // shift  # already below the new modulus
+        if len(steps) == n_steps:
+            return m0, steps
+        precision = min(2 * precision, full)
 
 
 # ---------------------------------------------------------------------------
@@ -309,7 +315,7 @@ def verify_escape(
     with per-step ratio at least (1 + delta)^(d-1), which the radius bound
     guarantees.  The norms are read off the local-height orbits: the float
     orbit at infinity, and at a finite place the exact step valuations of
-    the orbit mod p^((n+1)e+2), e = ord_p Res(F), compared as exponents of p.
+    the residue orbit (``_padic_steps``), compared as exponents of p.
     """
     if n_steps < 1:
         raise InputError("n_steps must be >= 1")
@@ -330,10 +336,11 @@ def verify_escape(
         e0 = _binary_exponent(m)
         lognorm = math.log(float(m / Fraction(2) ** e0)) + e0 * math.log(2.0)
         for t in _arch_steps(F, z0, z1, n_steps):
-            new_lognorm = d * lognorm + t
-            if not new_lognorm - lognorm >= ratio:
+            # test the increment itself: once lognorm overflows to inf, the
+            # difference of two infinite lognorms would be NaN
+            if not (d - 1) * lognorm + t >= ratio:
                 return False
-            lognorm = new_lognorm
+            lognorm = d * lognorm + t
         return True
     # finite place: all comparisons exact
     p = v.prime

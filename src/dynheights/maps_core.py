@@ -400,32 +400,33 @@ def _canonical_scale(vec) -> int:
     return -g if next(c for c in vec if c != 0) < 0 else g
 
 
-def _compose_form(coeffs_asc, alpha: int, beta: int, gamma: int, delta: int) -> list:
-    """Ascending integer coefficients of C(alpha*x + beta*y, gamma*x + delta*y)."""
-    d = len(coeffs_asc) - 1
-    apow, bpow, gpow, dpow = ([e**k for k in range(d + 1)] for e in (alpha, beta, gamma, delta))
-    out = [0] * (d + 1)
-    for i, ci in enumerate(coeffs_asc):
-        if ci == 0:
-            continue
-        # (alpha x + beta y)^i and (gamma x + delta y)^(d-i), ascending in x
-        t1 = [math.comb(i, k) * apow[k] * bpow[i - k] for k in range(i + 1)]
-        t2 = [math.comb(d - i, k) * gpow[k] * dpow[d - i - k] for k in range(d - i + 1)]
-        for k1, v1 in enumerate(t1):
-            for k2, v2 in enumerate(t2):
-                out[k1 + k2] += ci * v1 * v2
-    return out
-
-
 def _conjugate_forms(F: HomogeneousLift, m: tuple) -> tuple:
     """Ascending integer forms (g0, g1) = M o F o adj(M) for M = ((a, b), (c, d)) over Z.
 
     adj(M) = det(M) * M^{-1}, so this is det(M)^d times the lift through
     M^{-1} and defines phi o f o phi^{-1}; Res(g0, g1) = det(M)^(d^2+d) Res(F).
+    The powers of u = dx - by and v = -cx + ay are built once, by the
+    Pascal recurrence, and P(u, v), Q(u, v) are accumulated in one pass.
     """
     (a, b), (c, d) = m
-    Pw = _compose_form(F.P.coeffs, d, -b, -c, a)
-    Qw = _compose_form(F.Q.coeffs, d, -b, -c, a)
+    n = F.d
+    upow, vpow = [[1]], [[1]]  # ascending in x
+    for _ in range(n):
+        u, v = upow[-1], vpow[-1]
+        upow.append([d * lo - b * hi for lo, hi in zip([0] + u, u + [0])])
+        vpow.append([a * hi - c * lo for lo, hi in zip([0] + v, v + [0])])
+    Pw, Qw = [0] * (n + 1), [0] * (n + 1)
+    for i, (pi, qi) in enumerate(zip(F.P.coeffs, F.Q.coeffs)):
+        if pi == 0 and qi == 0:
+            continue
+        v = vpow[n - i]
+        for k1, u1 in enumerate(upow[i]):
+            if u1 == 0:
+                continue
+            for k, v2 in enumerate(v, k1):
+                t = u1 * v2
+                Pw[k] += pi * t
+                Qw[k] += qi * t
     g0 = [a * p + b * q for p, q in zip(Pw, Qw)]
     g1 = [c * p + d * q for p, q in zip(Pw, Qw)]
     return g0, g1

@@ -36,6 +36,11 @@ p + 1 neighbors.
 
 Each vertex is identified by the canonical Hermite form of its coset over
 the localization Z_(p), which makes deduplication and loop detection exact.
+
+The archimedean term of ``h_res`` runs over a finite family of integer
+matrices N.  Res(N o F o adj(N)) = det(N)^(d^2+d) Res(F), and the content
+of the raw conjugate and the scale of N cancel in |Res|/max|coeff|^(2d),
+so each member costs one raw conjugate and no resultant.
 """
 
 from __future__ import annotations
@@ -50,7 +55,7 @@ from sympy.polys.galoistools import gf_factor, gf_from_int_poly, gf_gcd
 
 from .arith import is_prime, ord_fraction, ord_int
 from .errors import InputError, OracleRadiusError
-from .maps_core import HomogeneousLift, Mobius, conjugate, resultant_ratio
+from .maps_core import HomogeneousLift, Mobius, _conjugate_forms, conjugate
 
 #: descent gives up after 4*ord_start + 4 moves (defensive: each move strictly
 #: decreases a nonnegative integer, so the cap is never reached in practice)
@@ -159,17 +164,6 @@ class ResultantHeight:
 # ---------------------------------------------------------------------------
 # Tree vertices
 # ---------------------------------------------------------------------------
-
-
-def elementary_moves(p: int):
-    """The generating moves z -> z/p and z -> pz+j (j = 0..p-1), in this order.
-
-    Generated one at a time, so a caller that stops early builds only the
-    moves it takes.
-    """
-    yield Mobius(1, 0, 0, p)
-    for j in range(p):
-        yield Mobius(p, j, 0, 1)
 
 
 def neighbor_moves(p: int):
@@ -383,16 +377,16 @@ def bad_places(F: HomogeneousLift) -> BadReductionReport:
 
 
 def _arch_generators(primes):
-    """Unit shears and the coordinate swap, then the elementary moves and
-    their inverses prime by prime, one at a time."""
-    yield Mobius(1, 1, 0, 1)
-    yield Mobius(1, -1, 0, 1)
-    yield Mobius(1, 0, 1, 1)
-    yield Mobius(1, 0, -1, 1)
-    yield Mobius(0, 1, 1, 0)
+    """(a, b, c, d, D) for [[a, b], [c, d]] / D, D > 0, gcd 1: the unit shears
+    and the coordinate swap, then prime by prime the moves z -> z/q and
+    z -> qz+j (j = 0..q-1) and their inverses, one at a time."""
+    yield from ((1, 1, 0, 1, 1), (1, -1, 0, 1, 1), (1, 0, 1, 1, 1), (1, 0, -1, 1, 1))
+    yield (0, 1, 1, 0, 1)
     for q in primes:
-        yield from elementary_moves(q)
-        yield from (m.inverse() for m in elementary_moves(q))
+        yield (1, 0, 0, q, 1)
+        yield from ((q, j, 0, 1, 1) for j in range(q))
+        yield (q, 0, 0, 1, q)
+        yield from ((1, -j, 0, q, q) for j in range(q))
 
 
 def _arch_conjugator_family(F: HomogeneousLift) -> list:
@@ -400,30 +394,48 @@ def _arch_conjugator_family(F: HomogeneousLift) -> list:
 
     Products of <= _ARCH_FAMILY_RADIUS elementary moves (and inverses) at
     2, 3 and the primes dividing Res(F), together with unit shears and the
-    coordinate swap.  Deduplicated by matrix entries; size-capped for cost.
-    The generators are pairwise distinct and none is the identity, so the
-    first ring adds one member per generator and the cap is met before more
-    than _ARCH_FAMILY_CAP of them are needed: taking only those keeps the
-    work bounded when a prime of Res is large.
+    coordinate swap, as reduced 5-tuples of ``_arch_generators``: N/D has
+    one such form, so they deduplicate the matrices exactly.  Size-capped
+    for cost.  The generators are pairwise distinct and none is the
+    identity, so the first ring adds one member per generator and the cap
+    is met before more than _ARCH_FAMILY_CAP of them are needed: taking
+    only those keeps the work bounded when a prime of Res is large.
     """
     primes = sorted({2, 3} | set(F.resultant_primes))
     gens = list(islice(_arch_generators(primes), _ARCH_FAMILY_CAP))
-    family = {}
-    frontier = [Mobius.identity()]
-    family[(Fraction(1), Fraction(0), Fraction(0), Fraction(1))] = frontier[0]
+    family = {(1, 0, 0, 1, 1): None}  # insertion-ordered set
+    frontier = list(family)
     for _ in range(_ARCH_FAMILY_RADIUS):
         new_frontier = []
-        for phi in frontier:
-            for g in gens:
-                cand = phi.compose(g)
-                key = (cand.a, cand.b, cand.c, cand.d)
-                if key not in family:
-                    family[key] = cand
+        for a, b, c, d, den in frontier:
+            for a2, b2, c2, d2, den2 in gens:
+                cand = (a * a2 + b * c2, a * b2 + b * d2, c * a2 + d * c2, c * b2 + d * d2)
+                cand += (den * den2,)
+                g = math.gcd(*cand)
+                cand = tuple(e // g for e in cand)
+                if cand not in family:
+                    family[cand] = None
                     new_frontier.append(cand)
                 if len(family) >= _ARCH_FAMILY_CAP:
-                    return list(family.values())
+                    return list(family)
         frontier = new_frontier
-    return list(family.values())
+    return list(family)
+
+
+def _arch_best_ratio(F: HomogeneousLift) -> Fraction:
+    """max over the family of resultant_ratio(conjugate(F, phi)), exactly:
+    |Res F| |det N|^(d^2+d) / max|coeff H|^(2d) for the raw conjugate H of
+    the member's integer matrix N (module docstring), compared by
+    cross-multiplication."""
+    d = F.d
+    best_num, best_den = 0, 1
+    for a, b, c, dd, _ in _arch_conjugator_family(F):
+        g0, g1 = _conjugate_forms(F, ((a, b), (c, dd)))
+        num = abs(a * dd - b * c) ** (d * d + d)
+        den = max(map(abs, g0 + g1)) ** (2 * d)
+        if num * best_den > best_num * den:
+            best_num, best_den = num, den
+    return Fraction(abs(F.resultant) * best_num, best_den)
 
 
 def h_res(F: HomogeneousLift) -> ResultantHeight:
@@ -431,13 +443,14 @@ def h_res(F: HomogeneousLift) -> ResultantHeight:
 
     Finite part: ord_min(p) * log p over the bad primes, exact integers.
     Archimedean part: log^+(1/best-found |res|_inf) over a finite conjugator
-    family; flagged upper-bound-only since the true sup is over SL_2(R).
+    family (exact, ``_arch_best_ratio``); flagged upper-bound-only since the
+    true sup is over SL_2(R).
     """
     report = bad_places(F)
     finite_part = 0.0
     for p, o in report.bad_primes:
         finite_part += o * math.log(p)
-    best = max(resultant_ratio(conjugate(F, phi)) for phi in _arch_conjugator_family(F))
+    best = _arch_best_ratio(F)
     value = best.numerator / best.denominator
     # the float underflows to 0 only on huge coefficients; the exact log is
     # finite there, since the identity is in the family and Res != 0

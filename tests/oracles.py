@@ -7,7 +7,10 @@ height oracle runs the defining limit d^-n h(f^n x) on raw integer pairs,
 the local-height oracle iterates exact Fractions with no renormalization,
 and the multiplier oracle finds fixed points numerically at 60 digits.
 The full-scan descent is the reference for the hole-guided one: it
-evaluates all p + 1 tree neighbors at every step.  The p-adic escape oracle
+evaluates all p + 1 tree neighbors at every step.  The archimedean
+conjugator family of ``h_res`` is rebuilt from ``Mobius`` products with
+exact ``Fraction`` entries, and each conjugate is expanded term by term
+with binomial coefficients, then canonicalized and its resultant taken.  The p-adic escape oracle
 iterates exact Fractions, where the library reads valuations off a residue
 orbit.
 """
@@ -19,8 +22,9 @@ from fractions import Fraction
 
 import mpmath
 
-from dynheights import MinResCertificate, Mobius, ord_res_at
-from dynheights.reduction import neighbor_moves
+from dynheights import BinaryForm, HomogeneousLift, MinResCertificate, Mobius, ord_res_at
+from dynheights.maps_core import resultant_ratio
+from dynheights.reduction import _ARCH_FAMILY_CAP, _ARCH_FAMILY_RADIUS, neighbor_moves
 
 
 # ---------------------------------------------------------------------------
@@ -81,6 +85,96 @@ def full_scan_descent(F, p: int) -> MinResCertificate:
             break
         phi, current = best[1], best[2]
     return MinResCertificate(p=p, ord_start=ord_start, ord_min=current, conjugator=phi)
+
+
+# ---------------------------------------------------------------------------
+# Conjugation and the archimedean conjugator family
+# ---------------------------------------------------------------------------
+
+
+def _compose_form(coeffs_asc, alpha: int, beta: int, gamma: int, delta: int) -> list:
+    """Ascending integer coefficients of C(alpha*x + beta*y, gamma*x + delta*y)."""
+    d = len(coeffs_asc) - 1
+    out = [0] * (d + 1)
+    for i, ci in enumerate(coeffs_asc):
+        if ci == 0:
+            continue
+        # (alpha x + beta y)^i and (gamma x + delta y)^(d-i), ascending in x
+        t1 = [math.comb(i, k) * alpha**k * beta ** (i - k) for k in range(i + 1)]
+        t2 = [math.comb(d - i, k) * gamma**k * delta ** (d - i - k) for k in range(d - i + 1)]
+        for k1, v1 in enumerate(t1):
+            for k2, v2 in enumerate(t2):
+                out[k1 + k2] += ci * v1 * v2
+    return out
+
+
+def conjugate_forms_by_composition(F, m) -> tuple:
+    """Ascending forms of M o F o adj(M), M = ((a, b), (c, d)): each form is
+    composed with adj(M) on its own, one binomial expansion per coefficient."""
+    (a, b), (c, d) = m
+    Pw = _compose_form(F.P.coeffs, d, -b, -c, a)
+    Qw = _compose_form(F.Q.coeffs, d, -b, -c, a)
+    return [a * p + b * q for p, q in zip(Pw, Qw)], [c * p + d * q for p, q in zip(Pw, Qw)]
+
+
+def _mobius_arch_generators(primes):
+    """Unit shears and the coordinate swap, then per prime q the moves
+    z -> z/q and z -> qz + j (j = 0..q-1), then their inverses."""
+    yield Mobius(1, 1, 0, 1)
+    yield Mobius(1, -1, 0, 1)
+    yield Mobius(1, 0, 1, 1)
+    yield Mobius(1, 0, -1, 1)
+    yield Mobius(0, 1, 1, 0)
+    for q in primes:
+        yield from _mobius_moves(q)
+        yield from (m.inverse() for m in _mobius_moves(q))
+
+
+def _mobius_moves(q: int):
+    """z -> z/q, then z -> qz + j for j = 0..q-1, one at a time."""
+    yield Mobius(1, 0, 0, q)
+    for j in range(q):
+        yield Mobius(q, j, 0, 1)
+
+
+def mobius_arch_family(F) -> list:
+    """The archimedean conjugator family of ``h_res`` as ``Mobius`` products,
+    deduplicated by their Fraction entries, in insertion order."""
+    primes = sorted({2, 3} | set(F.resultant_primes))
+    gens = []
+    for g in _mobius_arch_generators(primes):
+        if len(gens) == _ARCH_FAMILY_CAP:
+            break
+        gens.append(g)
+    identity = Mobius.identity()
+    family = {(identity.a, identity.b, identity.c, identity.d): identity}
+    frontier = [identity]
+    for _ in range(_ARCH_FAMILY_RADIUS):
+        new_frontier = []
+        for phi in frontier:
+            for g in gens:
+                cand = phi.compose(g)
+                key = (cand.a, cand.b, cand.c, cand.d)
+                if key not in family:
+                    family[key] = cand
+                    new_frontier.append(cand)
+                if len(family) >= _ARCH_FAMILY_CAP:
+                    return list(family.values())
+        frontier = new_frontier
+    return list(family.values())
+
+
+def mobius_arch_best_ratio(F, family):
+    """max |Res|/max|coeff|^(2d) over the canonical conjugates by the family,
+    each built by composition and its resultant taken by Bareiss."""
+    best = None
+    for phi in family:
+        den = math.lcm(*(e.denominator for e in (phi.a, phi.b, phi.c, phi.d)))
+        m = ((int(phi.a * den), int(phi.b * den)), (int(phi.c * den), int(phi.d * den)))
+        g0, g1 = conjugate_forms_by_composition(F, m)
+        ratio = resultant_ratio(HomogeneousLift(BinaryForm(tuple(g0)), BinaryForm(tuple(g1))))
+        best = ratio if best is None else max(best, ratio)
+    return best
 
 
 # ---------------------------------------------------------------------------

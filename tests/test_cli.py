@@ -151,7 +151,7 @@ def test_escape_overflow_exits_3(map_file):
 HUGER = {"d": 2, "P": ["1" + "0" * 400, "0", "1"], "Q": ["0", "0", "1"]}
 
 
-@pytest.mark.parametrize("argv", [["census", "--bound", "0.7"], ["compare"]], ids=" ".join)
+@pytest.mark.parametrize("argv", [["census", "--bound", "0.7"]], ids=" ".join)
 def test_h_res_on_huge_coefficients_exits_3(map_file, argv):
     # h_res stays finite; the run stops later, at a float overflow
     command, *rest = argv
@@ -159,6 +159,19 @@ def test_h_res_on_huge_coefficients_exits_3(map_file, argv):
     assert proc.returncode == 3
     assert proc.stdout == ""
     assert proc.stderr.startswith("error: ") and len(proc.stderr.splitlines()) == 1
+
+
+def test_compare_on_huge_coefficients_takes_the_exact_log(map_file):
+    # sigma2 = 4 * 10^800 is beyond the float range: its log+ comes from the
+    # exact numerator and denominator, and equals milnor's moduli height
+    path = map_file(HUGER)
+    proc = run_cli("compare", "--map", path, timeout=30)
+    milnor = run_cli("milnor", "--map", path, timeout=30)
+    assert proc.returncode == 0 and milnor.returncode == 0
+    (row,) = json.loads(proc.stdout)["rows"]
+    assert row["local"][-1][0] == "inf"
+    assert row["local"][-1][2] == 922.4203315587381
+    assert row["local"][-1][2] == json.loads(milnor.stdout)["moduli_height"]["value"]
 
 
 def test_preperiodic_on_huge_coefficients(map_file):
@@ -198,6 +211,17 @@ def test_non_finite_float_option_exits_2(map_file, argv):
     assert proc.returncode == 2
     assert proc.stdout == ""
     assert "expected a finite number" in proc.stderr and "Traceback" not in proc.stderr
+
+
+def test_escape_past_the_float_range_of_the_log_norm(map_file):
+    # log||F^k(z)|| of z^2 - 1 at [40:1] passes the float range near step
+    # 1,024; the per-step growth is still certified there
+    proc = run_cli(
+        "escape", "--map", map_file(Z2_MINUS_1), "--place", "inf", "--z", "[40:1]",
+        "--steps", "1100", timeout=30,
+    )
+    assert proc.returncode == 0
+    assert json.loads(proc.stdout)["escapes"] is True
 
 
 def test_escape_cli(map_file):
@@ -354,6 +378,35 @@ def test_manifest_and_reproducibility(map_file, tmp_path):
     assert m1["output_digest"] == m2["output_digest"]
     assert m1["map_hash"] == m2["map_hash"]
     assert m1["tool_version"]
+
+
+@pytest.mark.parametrize("where", ["missing", "directory", "not-utf8"])
+def test_unreadable_map_file_exits_2(tmp_path, where):
+    path = {"missing": tmp_path / "absent.json", "directory": tmp_path}.get(where)
+    if path is None:
+        path = tmp_path / "binary.json"
+        path.write_bytes(b"\xe3\x00\xff")
+    proc = run_cli("resultant", "--map", str(path))
+    assert proc.returncode == 2
+    assert proc.stdout == ""
+    assert proc.stderr.startswith("error: ") and len(proc.stderr.splitlines()) == 1
+
+
+def test_unwritable_plot_exits_2(map_file, tmp_path):
+    svg = tmp_path / "no-such-dir" / "scatter.svg"
+    proc = run_cli("census", "--map", map_file(MONOMIAL), "--bound", "1.0", "--plot", str(svg))
+    assert proc.returncode == 2
+    assert proc.stdout == ""
+    assert proc.stderr == f"error: cannot write {svg}: No such file or directory\n"
+
+
+def test_unwritable_manifest_exits_2(map_file, tmp_path):
+    man = tmp_path / "no-such-dir" / "man.json"
+    proc = run_cli("--manifest", str(man), "resultant", "--map", map_file(MONOMIAL))
+    assert proc.returncode == 2
+    assert json.loads(proc.stdout) == {"res": "1"}  # written before the manifest
+    assert proc.stderr.splitlines()[-1] == f"error: cannot write {man}: No such file or directory"
+    assert "Traceback" not in proc.stderr
 
 
 def test_plot_svg(map_file, tmp_path):

@@ -19,7 +19,8 @@ from dynheights import (
     step_error_constants,
     verify_escape,
 )
-from dynheights.maps_core import sylvester_cofactor_pair
+from dynheights.local_heights import _padic_steps
+from dynheights.maps_core import BinaryForm, sylvester_cofactor_pair
 
 from conftest import lift, random_lift
 from oracles import exact_padic_escape, local_height_arch_oracle, local_height_padic_oracle
@@ -208,6 +209,25 @@ def test_local_height_runs_past_the_float_range_of_d_to_the_n(d, many):
         b = hom_local_height(F, (-3, 2), v, many)
         assert b.err <= a.err
         assert abs(b.value - a.value) <= a.err
+
+
+def test_padic_orbit_carries_only_the_digits_it_needs(z2_plus_half, monkeypatch):
+    # the residues need sum m_k + e + 1 digits, not (n + 1) e + 2; doubling
+    # the precision on a restart at most doubles that
+    biggest = 0
+    evaluate = BinaryForm.evaluate
+
+    def recording(form, x, y):
+        nonlocal biggest
+        biggest = max(biggest, abs(x), abs(y))
+        return evaluate(form, x, y)
+
+    monkeypatch.setattr(BinaryForm, "evaluate", recording)
+    n, e = 2000, 4  # Res = 2^4
+    m0, steps = _padic_steps(z2_plus_half, Fraction(-3), Fraction(2), 2, n)
+    assert (m0, len(steps), sum(steps)) == (0, n, n)
+    # 2 * 2005 bits here, against (n + 1) e + 2 = 8006 at full precision
+    assert biggest.bit_length() <= 2 * (sum(steps) + e + 1)
 
 
 def test_local_height_rejects_origin_and_bad_iters(monomial):

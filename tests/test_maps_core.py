@@ -26,7 +26,7 @@ from dynheights.arith import ord_int, prime_factors_abs
 from dynheights.maps_core import _conjugate_forms, _integral_matrix, sylvester_matrix
 
 from conftest import lift, random_lift
-from oracles import naive_resultant, sigma_numeric
+from oracles import conjugate_forms_by_composition, naive_resultant, sigma_numeric
 
 
 # ---------------------------------------------------------------------------
@@ -173,6 +173,14 @@ def test_conjugate_resultant_transformation():
         assert G == HomogeneousLift(P, Q)
         for x in (ProjPoint(0, 1), ProjPoint(1, 0), ProjPoint(-2, 3)):
             assert apply_map(G, phi.apply(x)) == phi.apply(apply_map(F, x))
+
+
+def test_conjugate_forms_matches_composition_oracle():
+    rng = random.Random(11)
+    for _ in range(3000):
+        F = random_lift(rng, rng.choice([2, 3, 4]), coeff_bound=300)
+        m = tuple(tuple(rng.randint(-300, 300) for _ in range(2)) for _ in range(2))
+        assert _conjugate_forms(F, m) == conjugate_forms_by_composition(F, m)
 
 
 # ---------------------------------------------------------------------------

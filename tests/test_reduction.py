@@ -14,10 +14,16 @@ from dynheights import (
     minimal_resultant_oracle,
     ord_res_at,
 )
-from dynheights.reduction import hole_moves, neighbor_moves, vertex_key
+from dynheights.reduction import (
+    _arch_best_ratio,
+    _arch_conjugator_family,
+    hole_moves,
+    neighbor_moves,
+    vertex_key,
+)
 
 from conftest import lift, random_lift
-from oracles import full_scan_descent
+from oracles import full_scan_descent, mobius_arch_best_ratio, mobius_arch_family
 
 # Fixed regression family: every map has ord_start <= 4 at each tested prime,
 # so the radius-4 oracle ball provably contains the vertex minimum.
@@ -245,6 +251,26 @@ def test_h_res_on_coefficients_beyond_the_float_range():
     hr = h_res(lift([10**400, 0, 1], [0, 0, 1]))
     assert math.isfinite(hr.arch_term)
     assert 0.0 < hr.arch_term <= 800 * math.log(10)  # the identity is in the family
+
+
+def test_integer_arch_family_matches_mobius_oracle():
+    # every map has a Res prime in [5, 300], so the family reaches its cap;
+    # the last one has Res = 3^2 * 8149259477
+    rng = random.Random(2024)
+    maps = []
+    while len(maps) < 60:
+        F = random_lift(rng, rng.choice([2, 3, 4]), coeff_bound=9)
+        if 5 <= max(F.resultant_primes, default=0) <= 300:
+            maps.append(F)
+    maps.append(lift([114, 213, -513], [875, -243, -733]))
+    for F in maps:
+        family = _arch_conjugator_family(F)
+        oracle = mobius_arch_family(F)
+        assert len(family) == 600
+        assert [tuple(Fraction(e, den) for e in m) for *m, den in family] == [
+            (phi.a, phi.b, phi.c, phi.d) for phi in oracle
+        ]
+        assert _arch_best_ratio(F) == mobius_arch_best_ratio(F, oracle)
 
 
 def test_h_res_and_bad_places_unimodular_invariance():
