@@ -1,10 +1,14 @@
 """Wire formats shared by the CLI and by file-based callers.
 
 Map files are JSON objects like {"d": 2, "P": ["1","0","0"], "Q":
-["0","0","1"]}: coefficient strings in base 10, listed from the x^d
-coefficient down to the y^d coefficient.  Points are "[a:b]" with integer
-entries; rational entries are accepted where an affine pair (not a
-projective point) is expected.
+["0","0","1"]}, listed from the x^d coefficient down to the y^d
+coefficient.  The format is strict: "d" is a JSON integer (not a boolean,
+float or string), "P" and "Q" are JSON arrays of d + 1 entries, and each
+entry is a JSON integer or a string of ASCII digits with an optional
+leading minus sign (-?[0-9]+: no spaces, underscores, plus signs or other
+scripts' digits).  Anything else is an ``InputError``.  Points are "[a:b]"
+with ASCII integer entries; rational entries are accepted where an affine
+pair (not a projective point) is expected.
 """
 
 from __future__ import annotations
@@ -17,8 +21,31 @@ from fractions import Fraction
 from .errors import InputError
 from .maps_core import BinaryForm, HomogeneousLift, ProjPoint
 
-_POINT_RE = re.compile(r"^\[\s*(-?\d+)\s*:\s*(-?\d+)\s*\]$")
-_PAIR_RE = re.compile(r"^\[\s*(-?\d+(?:/\d+)?)\s*:\s*(-?\d+(?:/\d+)?)\s*\]$")
+_POINT_RE = re.compile(r"^\[\s*(-?[0-9]+)\s*:\s*(-?[0-9]+)\s*\]$")
+_PAIR_RE = re.compile(r"^\[\s*(-?[0-9]+(?:/[0-9]+)?)\s*:\s*(-?[0-9]+(?:/[0-9]+)?)\s*\]$")
+_INT_RE = re.compile(r"-?[0-9]+")
+
+
+def _is_json_int(x) -> bool:
+    return isinstance(x, int) and not isinstance(x, bool)
+
+
+def _wire_int(x, what: str) -> int:
+    """x as an int, for a JSON integer or a string matching -?[0-9]+."""
+    if not (_is_json_int(x) or (isinstance(x, str) and _INT_RE.fullmatch(x))):
+        raise InputError(f"bad {what} {x!r}: expected an integer")
+    try:
+        return int(x)
+    except ValueError as exc:  # a digit string past int()'s length limit
+        raise InputError(f"bad {what}: {exc}") from exc
+
+
+def _coefficients(obj: dict, key: str) -> list:
+    """The entries of obj[key]: a JSON array of integers or digit strings."""
+    entries = obj[key]
+    if not isinstance(entries, list):
+        raise InputError(f"{key} must be a JSON array of coefficients")
+    return [_wire_int(c, f"coefficient in {key}") for c in entries]
 
 
 def forms_from_json_dict(obj: dict) -> tuple:
@@ -26,12 +53,16 @@ def forms_from_json_dict(obj: dict) -> tuple:
 
     Coefficients arrive from i = d down to 0.
     """
+    if not isinstance(obj, dict):
+        raise InputError("malformed map object: expected a JSON object")
     try:
-        d = int(obj["d"])
-        p_desc = [int(str(c)) for c in obj["P"]]
-        q_desc = [int(str(c)) for c in obj["Q"]]
-    except (KeyError, TypeError, ValueError) as exc:
-        raise InputError(f"malformed map object: {exc}") from exc
+        d = obj["d"]
+        p_desc = _coefficients(obj, "P")
+        q_desc = _coefficients(obj, "Q")
+    except KeyError as exc:
+        raise InputError(f"malformed map object: missing {exc}") from exc
+    if not _is_json_int(d):
+        raise InputError(f"the degree d must be a JSON integer, not {d!r}")
     if len(p_desc) != d + 1 or len(q_desc) != d + 1:
         raise InputError(f"expected {d + 1} coefficients for degree {d}")
     return BinaryForm(tuple(p_desc[::-1])), BinaryForm(tuple(q_desc[::-1]))
@@ -55,7 +86,7 @@ def load_forms(path: str) -> tuple:
     try:
         with open(path, "r", encoding="utf-8") as fh:
             obj = json.load(fh)
-    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
+    except ValueError as exc:  # bad JSON or UTF-8, or an int literal past the digit limit
         raise InputError(f"{path} is not valid JSON: {exc}") from exc
     except OSError as exc:
         raise InputError(f"cannot read {path}: {exc.strerror or exc}") from exc
@@ -90,7 +121,8 @@ def map_hash(F: HomogeneousLift) -> str:
 
 
 def point_from_json_dict(obj: dict) -> ProjPoint:
+    """A point object {"x0": a, "x1": b}, entries as strict as map coefficients."""
     try:
-        return ProjPoint(int(str(obj["x0"])), int(str(obj["x1"])))
-    except (KeyError, TypeError, ValueError) as exc:
+        return ProjPoint(_wire_int(obj["x0"], "x0"), _wire_int(obj["x1"], "x1"))
+    except (KeyError, TypeError) as exc:
         raise InputError(f"malformed point object: {exc}") from exc

@@ -20,8 +20,11 @@ escape test (``verify_escape``).  At the archimedean place it is a float
 orbit with exact binary renormalization each step (so magnitudes never
 leave [1/2, 1)).  At a finite place it is a residue orbit mod p^r with
 r > e = ord_p Res(F) before every step: every step valuation read off is
-exact, so no exact rational is iterated.  The per-step rescaling is compensated
-exactly through the homogeneity identity H(lambda z) = H(z) + log|lambda|_v.
+exact, so no exact rational is iterated.  Each p-adic step is plain integer
+arithmetic: one homogeneous Horner pass evaluates both forms, and the step
+valuation m is read from gcd(w0, w1, p^r) = p^m.  The per-step rescaling is
+compensated exactly through the homogeneity identity
+H(lambda z) = H(z) + log|lambda|_v.
 """
 
 from __future__ import annotations
@@ -29,6 +32,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from math import gcd
 
 from .arith import ord_fraction, ord_int
 from .certified import _EPS, CertifiedValue, _up, log_abs_certified, log_rational_multiple
@@ -136,7 +140,7 @@ def _frac_to_residue(x: Fraction, modulus: int) -> int:
     return (num * pow(den, -1, modulus)) % modulus
 
 
-def _padic_steps(F: HomogeneousLift, x0: Fraction, x1: Fraction, p: int, n_steps: int):
+def _padic_steps(F: HomogeneousLift, x0: Fraction, x1: Fraction, p: int, e: int, n_steps: int):
     """(m0, [m_1, ..., m_n]) with ||x||_p = p^-m0 and m_k the valuation of
     F(u_(k-1)), u_0 = x / p^m0 and u_k = F(u_(k-1)) / p^m_k, so that
     ||F^n(x)||_p = p^-(d^n m0 + sum_k d^(n-k) m_k).
@@ -145,10 +149,17 @@ def _padic_steps(F: HomogeneousLift, x0: Fraction, x1: Fraction, p: int, n_steps
     off mod p^r, r > e, is exact.  The orbit runs mod p^r, dropping m_k
     digits per step, from r = min(2e + 2, (n+1)e + 2); when e or fewer
     digits remain before a step it restarts at double the precision.
+
+    Each step evaluates both forms in one homogeneous Horner pass over a
+    shared chain of powers of the second coordinate, and reads m_k from one
+    gcd: the modulus is a power of p, so gcd(w0, w1, p^r) = p^m_k exactly
+    (p^r itself when both residues vanish).
     """
-    e = ord_int(F.resultant, p)
     m0 = min(ord_fraction(x0, p), ord_fraction(x1, p))
     scale = Fraction(p) ** m0  # u_0 has min valuation 0
+    cp, cq = F.P.descending(), F.Q.descending()
+    head_p, head_q, tail = cp[0], cq[0], tuple(zip(cp[1:], cq[1:]))
+    exponent = {p**k: k for k in range(e + 1)}  # a gcd outside it means m > e
     full = (n_steps + 1) * e + 2  # here remaining > e before every step: no restart
     precision = min(2 * e + 2, full)
     while True:
@@ -156,15 +167,17 @@ def _padic_steps(F: HomogeneousLift, x0: Fraction, x1: Fraction, p: int, n_steps
         z0, z1 = _frac_to_residue(x0 / scale, modulus), _frac_to_residue(x1 / scale, modulus)
         steps = []
         while len(steps) < n_steps and remaining > e:
-            w0, w1 = F.P.evaluate(z0, z1) % modulus, F.Q.evaluate(z0, z1) % modulus
-            m = min(
-                ord_int(w0, p) if w0 else remaining,
-                ord_int(w1, p) if w1 else remaining,
-            )
-            if m > e:  # impossible for a unit-content lift; guards precision bugs
+            a, b, yp = head_p, head_q, 1
+            for c_p, c_q in tail:
+                yp *= z1
+                a = a * z0 + c_p * yp
+                b = b * z0 + c_q * yp
+            w0, w1 = a % modulus, b % modulus
+            shift = gcd(w0, w1, modulus)
+            m = exponent.get(shift)
+            if m is None:  # impossible for a unit-content lift; guards precision bugs
                 raise ArithmeticError("p-adic step valuation exceeded its certified bound")
             steps.append(m)
-            shift = p**m
             remaining -= m
             modulus //= shift
             z0, z1 = w0 // shift, w1 // shift  # already below the new modulus
@@ -205,7 +218,7 @@ def _padic_local_height(F: HomogeneousLift, x0: Fraction, x1: Fraction, p: int, 
     d = F.d
     e = ord_int(F.resultant, p)
     # at good reduction every step valuation is 0: H = -m0 log p, no truncation
-    m0, steps = _padic_steps(F, x0, x1, p, n_iter if e else 0)
+    m0, steps = _padic_steps(F, x0, x1, p, e, n_iter if e else 0)
     if e == 0:
         return log_rational_multiple(-m0, p)
     # H = -m0 - sum_{k=1..n} m_k / d^k; Horner keeps the integer numerator
@@ -357,7 +370,7 @@ def verify_escape(
     k_min = 1
     while p**k_min * ratio.denominator < ratio.numerator:
         k_min += 1
-    big_m, steps = _padic_steps(F, z0, z1, p, n_steps)
+    big_m, steps = _padic_steps(F, z0, z1, p, e, n_steps)
     for m in steps:
         new_big_m = d * big_m + m
         if big_m - new_big_m < k_min:

@@ -162,6 +162,29 @@ def test_map_json_rejects_malformed():
         lift_from_json_dict({"d": 2, "P": ["1", "0", "x"], "Q": ["0", "0", "1"]})
 
 
+def test_map_json_is_strict():
+    # JSON integers and ASCII digit strings are the same coefficients
+    as_ints = lift_from_json_dict({"d": 2, "P": [1, 0, -1], "Q": [0, 0, 1]})
+    assert as_ints == lift_from_json_dict({"d": 2, "P": ["1", "0", "-1"], "Q": ["0", "0", "1"]})
+    q = ["0", "0", "1"]
+    for obj in (
+        {"d": 2, "P": "102", "Q": q},
+        {"d": 2.5, "P": ["1", "0", "2"], "Q": q},
+        {"d": float("inf"), "P": ["1", "0", "2"], "Q": q},
+        {"d": "2", "P": ["1", "0", "2"], "Q": q},
+        {"d": True, "P": ["1", "0"], "Q": ["0", "1"]},
+        {"d": 2, "P": ["1_0", "0", "2"], "Q": q},
+        {"d": 2, "P": ["+1", "0", "2"], "Q": q},
+        {"d": 2, "P": [" 2", "0", "2"], "Q": q},
+        {"d": 2, "P": ["\u0663", "0", "2"], "Q": q},
+        {"d": 2, "P": [1.0, 0, 2], "Q": q},
+        {"d": 2, "P": [False, 0, 2], "Q": q},
+        ["d", "P", "Q"],
+    ):
+        with pytest.raises(InputError):
+            lift_from_json_dict(obj)
+
+
 def test_point_parsing():
     assert parse_point("[2:1]") == ProjPoint(2, 1)
     assert parse_point(" [ -4 : 2 ] ") == ProjPoint(-2, 1)
@@ -169,8 +192,16 @@ def test_point_parsing():
         parse_point("[2:1")
     with pytest.raises(InputError):
         parse_point("[1/2:1]")  # rationals only allowed for affine pairs
+    with pytest.raises(InputError):
+        parse_point("[\u0663:1]")  # ASCII digits only
+    with pytest.raises(InputError):
+        parse_pair("[1/\u0662\u0667:1]")
     assert parse_pair("[1/27:1]") == (Fraction(1, 27), Fraction(1))
     assert point_from_json_dict({"x0": "2", "x1": "1"}) == ProjPoint(2, 1)
+    assert point_from_json_dict({"x0": 2, "x1": 1}) == ProjPoint(2, 1)
+    for bad in ("1_0", " 2", "2.0", "\u0663", 2.0, True):
+        with pytest.raises(InputError):
+            point_from_json_dict({"x0": bad, "x1": "1"})
 
 
 def test_binary_form_invariants():

@@ -392,6 +392,47 @@ def test_unreadable_map_file_exits_2(tmp_path, where):
     assert proc.stderr.startswith("error: ") and len(proc.stderr.splitlines()) == 1
 
 
+_Q_Z2 = '"Q": ["0", "0", "1"]'
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        '{"d": 2, "P": "102", ' + _Q_Z2 + "}",  # a string is not an array
+        '{"d": 2.5, "P": ["1", "0", "2"], ' + _Q_Z2 + "}",
+        '{"d": 1e400, "P": ["1", "0", "2"], ' + _Q_Z2 + "}",
+        '{"d": "2", "P": ["1", "0", "2"], ' + _Q_Z2 + "}",
+        '{"d": 2, "P": ["1_0", "0", "2"], ' + _Q_Z2 + "}",
+        '{"d": 2, "P": [" 2", "0", "2"], ' + _Q_Z2 + "}",
+        '{"d": 2, "P": ["\\u0663", "0", "2"], ' + _Q_Z2 + "}",  # ARABIC-INDIC THREE
+        '{"d": 2, "P": [1' + "0" * 5000 + ', 0, 2], ' + _Q_Z2 + "}",  # past int()'s limit
+    ],
+    ids=["P-string", "d-float", "d-inf", "d-string", "underscore", "space", "arabic-indic",
+         "long-literal"],
+)
+def test_map_outside_the_wire_format_exits_2(tmp_path, text):
+    path = tmp_path / "m.json"
+    path.write_text(text, encoding="utf-8")
+    proc = run_cli("resultant", "--map", str(path))
+    assert proc.returncode == 2
+    assert proc.stdout == ""
+    assert proc.stderr.startswith("error: ") and len(proc.stderr.splitlines()) == 1
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["height", "--point", "[\u0663:1]"],
+        ["escape", "--place", "3", "--z", "[1/\u0662\u0667:1]", "--delta", "0.5"],
+    ],
+)
+def test_point_with_non_ascii_digits_exits_2(map_file, argv):
+    proc = run_cli(argv[0], "--map", map_file(THREE_Z2), *argv[1:])
+    assert proc.returncode == 2
+    assert proc.stdout == ""
+    assert proc.stderr.startswith("error: ") and len(proc.stderr.splitlines()) == 1
+
+
 def test_unwritable_plot_exits_2(map_file, tmp_path):
     svg = tmp_path / "no-such-dir" / "scatter.svg"
     proc = run_cli("census", "--map", map_file(MONOMIAL), "--bound", "1.0", "--plot", str(svg))

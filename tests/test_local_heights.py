@@ -19,11 +19,18 @@ from dynheights import (
     step_error_constants,
     verify_escape,
 )
+import dynheights.local_heights as local_heights
+from dynheights.arith import ord_int
 from dynheights.local_heights import _padic_steps
-from dynheights.maps_core import BinaryForm, sylvester_cofactor_pair
+from dynheights.maps_core import sylvester_cofactor_pair
 
 from conftest import lift, random_lift
-from oracles import exact_padic_escape, local_height_arch_oracle, local_height_padic_oracle
+from oracles import (
+    exact_padic_escape,
+    local_height_arch_oracle,
+    local_height_padic_oracle,
+    padic_steps_by_forms,
+)
 
 INF = Place.archimedean()
 
@@ -121,7 +128,7 @@ def test_padic_height_oracle_stress():
     while checked < 25:
         d = rng.choice([2, 3])
         F = random_lift(rng, d, coeff_bound=9)
-        from dynheights.arith import ord_int, prime_factors_abs
+        from dynheights.arith import prime_factors_abs
 
         primes = [p for p in prime_factors_abs(F.resultant) if p <= 13]
         if not primes:
@@ -213,21 +220,63 @@ def test_local_height_runs_past_the_float_range_of_d_to_the_n(d, many):
 
 def test_padic_orbit_carries_only_the_digits_it_needs(z2_plus_half, monkeypatch):
     # the residues need sum m_k + e + 1 digits, not (n + 1) e + 2; doubling
-    # the precision on a restart at most doubles that
+    # the precision on a restart at most doubles that.  Every residue the
+    # kernel multiplies lies below the modulus of its gcd, so the largest
+    # modulus bounds them all
     biggest = 0
-    evaluate = BinaryForm.evaluate
 
-    def recording(form, x, y):
+    def recording(*args):
         nonlocal biggest
-        biggest = max(biggest, abs(x), abs(y))
-        return evaluate(form, x, y)
+        biggest = max(biggest, args[-1])
+        return math.gcd(*args)
 
-    monkeypatch.setattr(BinaryForm, "evaluate", recording)
+    monkeypatch.setattr(local_heights, "gcd", recording)
     n, e = 2000, 4  # Res = 2^4
-    m0, steps = _padic_steps(z2_plus_half, Fraction(-3), Fraction(2), 2, n)
+    m0, steps = _padic_steps(z2_plus_half, Fraction(-3), Fraction(2), 2, e, n)
     assert (m0, len(steps), sum(steps)) == (0, n, n)
     # 2 * 2005 bits here, against (n + 1) e + 2 = 8006 at full precision
-    assert biggest.bit_length() <= 2 * (sum(steps) + e + 1)
+    assert 0 < biggest.bit_length() <= 2 * (sum(steps) + e + 1)
+
+
+def test_padic_steps_match_per_form_oracle():
+    # the one-pass Horner kernel with its gcd valuation must give the step
+    # lists of the per-form loop on every (map, point, prime, n); the cases
+    # cover d = 2-4, e = 1 to beyond 4, points with m0 < 0 and m0 > 0, and
+    # orbits long enough to force precision restarts
+    rng = random.Random(1313)
+    seen_e, seen_d, signs, restarts, cases = set(), set(), set(), 0, 0
+    while cases < 2000:
+        d = rng.choice([2, 3, 4])
+        p = rng.choice([2, 3, 5, 7])
+        scale = p ** rng.choice([0, 0, 1, 2])  # raises ord_p Res by d per power
+        P = [rng.randint(-9, 9) for _ in range(d + 1)]
+        Q = [scale * rng.randint(-9, 9) for _ in range(d + 1)]
+        try:
+            F = lift(P, Q)
+        except InputError:
+            continue
+        e = ord_int(F.resultant, p)
+        if e == 0:
+            continue
+        for _ in range(10):
+            x0, x1 = (
+                Fraction(rng.randint(-30, 30), rng.randint(1, 30)) * Fraction(p) ** rng.randint(-3, 3)
+                for _ in range(2)
+            )
+            if x0 == 0 and x1 == 0:
+                continue
+            n = rng.randint(100, 200) if rng.random() < 0.1 else rng.randint(1, 30)
+            m0, steps = _padic_steps(F, x0, x1, p, e, n)
+            assert (m0, steps) == padic_steps_by_forms(F, x0, x1, p, n), (F, x0, x1, p, n)
+            seen_e.add(e)
+            seen_d.add(d)
+            signs.add((m0 > 0) - (m0 < 0))
+            # the first pass keeps 2e + 2 digits: it restarts when the first
+            # n - 1 steps drop e + 2 of them
+            restarts += sum(steps[:-1]) >= e + 2
+            cases += 1
+    assert seen_d == {2, 3, 4} and {1, 2, 3, 4} <= seen_e and signs == {-1, 0, 1}
+    assert restarts >= 100
 
 
 def test_local_height_rejects_origin_and_bad_iters(monomial):
