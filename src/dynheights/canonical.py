@@ -18,7 +18,7 @@ from dataclasses import dataclass
 from .arith import prime_factors_abs
 from .certified import CertifiedValue
 from .errors import InputError
-from .local_heights import green_pairing_from_heights, memo_local_heights, step_error_constants
+from .local_heights import LocalHeights, green_pairing_from_heights, step_error_constants
 from .maps_core import HomogeneousLift, Place, ProjPoint, apply_map
 
 DEFAULT_ITERS = 30
@@ -67,7 +67,7 @@ def canonical_height(
     F: HomogeneousLift, x: ProjPoint, n_iter: int = DEFAULT_ITERS
 ) -> HeightBreakdown:
     """Certified canonical height of x as a sum of local heights."""
-    return canonical_height_from_heights(F, x, memo_local_heights(F, n_iter))
+    return canonical_height_from_heights(F, x, LocalHeights(F, n_iter))
 
 
 def canonical_height_from_heights(F: HomogeneousLift, x: ProjPoint, height) -> HeightBreakdown:
@@ -104,14 +104,14 @@ def functional_check(
     return ResidualReport(abs(lhs - rhs), budget, lhs, rhs)
 
 
-def pair_places(F: HomogeneousLift, x: ProjPoint, y: ProjPoint) -> list:
-    """The places where g_v(x, y) can be nonzero, archimedean first.
+def pair_places(F: HomogeneousLift, w: int) -> list:
+    """The places where g_v(x, y) can be nonzero, archimedean first, for the
+    wedge w = x^y of the canonical lifts.
 
     These are the archimedean place, the primes dividing Res(F) and the
-    primes dividing the wedge of the canonical lifts; every other g_v
-    vanishes exactly.
+    primes dividing w; every other g_v vanishes exactly.
     """
-    primes = set(F.resultant_primes) | set(prime_factors_abs(x.wedge(y)))
+    primes = set(F.resultant_primes) | set(prime_factors_abs(w))
     return [Place.archimedean()] + [Place.finite(p) for p in sorted(primes)]
 
 
@@ -126,10 +126,11 @@ def pairing_identity_check(
     """
     if x == y:
         raise InputError("pairing identity needs distinct points")
-    height = memo_local_heights(F, n_iter)
+    height = LocalHeights(F, n_iter)
+    w = x.wedge(y)
     lhs = CertifiedValue.exact_zero()
-    for v in pair_places(F, x, y):
-        lhs = lhs + green_pairing_from_heights(F, x, y, v, height)
+    for v in pair_places(F, w):
+        lhs = lhs + green_pairing_from_heights(x, y, w, v, height)
     hx = canonical_height_from_heights(F, x, height).total
     hy = canonical_height_from_heights(F, y, height).total
     rhs = hx + hy

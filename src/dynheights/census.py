@@ -37,7 +37,7 @@ from .canonical import (
 from .certified import CertifiedValue
 from .errors import DuplicatePointsError, InputError
 from .formats import map_hash
-from .local_heights import green_pairing_from_heights, memo_local_heights
+from .local_heights import LocalHeights, green_pairing_from_heights
 from .maps_core import (
     HomogeneousLift,
     Place,
@@ -251,6 +251,7 @@ class EnergyReport:
     identity_expected: float | None = None
     identity_residual: float | None = None
     identity_budget: float | None = None
+    terms: int = 0  # (pair, place) pairing terms summed; a work counter, not output
 
     def to_json_dict(self) -> dict:
         out = {
@@ -286,6 +287,11 @@ class CensusReport:
     complete_global: bool
     preperiodic_count: int
     warnings: tuple = ()
+
+    def stats(self) -> dict:
+        """Work counters of the energy table, for the run manifest only."""
+        n, terms = (self.energy.n_points, self.energy.terms) if self.energy else (0, 0)
+        return {"energy_pairs": n * (n - 1) // 2, "energy_terms": terms}
 
     def to_json_dict(self) -> dict:
         return {
@@ -335,7 +341,7 @@ def small_height_census(
         threshold_moduli = t_fraction * inv.moduli_height.value / s
         comparison_row = (rh.finite_part, inv.moduli_height.value)
     scan = _scan(F, search_bound)
-    height = memo_local_heights(F, n_iter)
+    height = LocalHeights(F, n_iter)
     warnings = list(rh.warnings)
     warnings += [f"orbit budget exhausted at {x}" for x, r in scan if r.status == "undecided"]
     rows = []
@@ -464,18 +470,22 @@ def energy_sum(
         raise InputError("energy sums need at least two points")
     if len(set(pts)) != len(pts):
         raise DuplicatePointsError("energy sum points must be pairwise distinct")
-    return _energy_from_heights(F, pts, v, memo_local_heights(F, n_iter))
+    return _energy_from_heights(F, pts, v, LocalHeights(F, n_iter))
 
 
 def _energy_from_heights(F: HomogeneousLift, pts: list, v, height) -> EnergyReport:
-    """The sums of ``energy_sum`` over distinct pts, with height(x, v) = H_v(x)."""
+    """The sums of ``energy_sum`` over distinct pts, with the ``LocalHeights``
+    memo height; each pair's wedge and places are taken once."""
     all_places = v == "all"
     unordered = CertifiedValue.exact_zero()
-    for i in range(len(pts)):
-        for j in range(i + 1, len(pts)):
-            x, y = pts[i], pts[j]
-            for place in pair_places(F, x, y) if all_places else [v]:
-                unordered = unordered + green_pairing_from_heights(F, x, y, place, height)
+    terms = 0
+    for i, x in enumerate(pts):
+        for y in pts[i + 1 :]:
+            w = x.wedge(y)
+            places = pair_places(F, w) if all_places else (v,)
+            for place in places:
+                unordered = unordered + green_pairing_from_heights(x, y, w, place, height)
+            terms += len(places)
     ordered = unordered.scale(2.0)
     n = len(pts)
     report_kwargs = {}
@@ -495,6 +505,7 @@ def _energy_from_heights(F: HomogeneousLift, pts: list, v, height) -> EnergyRepo
         ordered=ordered,
         unordered=unordered,
         n_log_n=n * math.log(n),
+        terms=terms,
         **report_kwargs,
     )
 

@@ -17,6 +17,7 @@ fixed order.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
 import hashlib
 import io
@@ -55,6 +56,7 @@ class RunManifest:
     budgets: dict
     timestamp: str
     output_digest: str
+    stats: dict  # deterministic work counters of the command (census: energy table)
 
     def to_json_dict(self) -> dict:
         return {
@@ -65,7 +67,21 @@ class RunManifest:
             "budgets": self.budgets,
             "timestamp": self.timestamp,
             "output_digest": self.output_digest,
+            "stats": self.stats,
         }
+
+
+@contextlib.contextmanager
+def _all_int_digits():
+    """Lift the int-to-str digit limit (4,300) inside the block; parsing keeps it."""
+    old = getattr(sys, "get_int_max_str_digits", lambda: 0)()  # 0: no limit
+    if old:
+        sys.set_int_max_str_digits(0)
+    try:
+        yield
+    finally:
+        if old:
+            sys.set_int_max_str_digits(old)
 
 
 def _parse_place(text: str, allow_all: bool = False):
@@ -160,7 +176,8 @@ def _run_command(args):
     if cmd == "resultant":
         P, Q = load_forms(args.map)
         F = HomogeneousLift(P, Q)  # rejects Res = 0
-        return {"res": str(sylvester_resultant(P, Q))}, False, F
+        with _all_int_digits():
+            return {"res": str(sylvester_resultant(P, Q))}, False, F
     if cmd == "badplaces":
         F = load_map(args.map)
         rep = bad_places(F)
@@ -227,13 +244,14 @@ def _run_command(args):
     if cmd == "milnor":
         F = load_map(args.map)
         inv = milnor_invariants(F)
-        return {
-            "sigma1": str(inv.sigma1),
-            "sigma2": str(inv.sigma2),
-            "sigma3": str(inv.sigma3),
-            "relation_sigma3_eq_sigma1_minus_2": inv.relation_holds(),
-            "moduli_height": inv.moduli_height.to_json_dict(),
-        }, False, F
+        with _all_int_digits():
+            return {
+                "sigma1": str(inv.sigma1),
+                "sigma2": str(inv.sigma2),
+                "sigma3": str(inv.sigma3),
+                "relation_sigma3_eq_sigma1_minus_2": inv.relation_holds(),
+                "moduli_height": inv.moduli_height.to_json_dict(),
+            }, False, F
     raise InputError(f"unknown subcommand {cmd!r}")
 
 
@@ -311,8 +329,9 @@ def main(argv=None) -> int:
         for w in payload.warnings:  # the CSV rows have no place for them
             print(f"warning: {w}", file=sys.stderr)
     else:
-        obj = payload.to_json_dict() if hasattr(payload, "to_json_dict") else payload
-        out = json.dumps(obj, sort_keys=True, separators=(",", ":")) + "\n"
+        with _all_int_digits():
+            obj = payload.to_json_dict() if hasattr(payload, "to_json_dict") else payload
+            out = json.dumps(obj, sort_keys=True, separators=(",", ":")) + "\n"
 
     sys.stdout.write(out)
     sys.stdout.flush()
@@ -329,6 +348,7 @@ def main(argv=None) -> int:
         budgets=budgets,
         timestamp=datetime.now(timezone.utc).isoformat(),
         output_digest=hashlib.sha256(out.encode()).hexdigest(),
+        stats=payload.stats() if args.command == "census" else {},
     )
     print("manifest: " + json.dumps(manifest.to_json_dict(), sort_keys=True), file=sys.stderr)
     if args.manifest:

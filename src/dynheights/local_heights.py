@@ -217,10 +217,9 @@ def _arch_local_height(F: HomogeneousLift, x0: Fraction, x1: Fraction, n_iter: i
 def _padic_local_height(F: HomogeneousLift, x0: Fraction, x1: Fraction, p: int, n_iter: int):
     d = F.d
     e = ord_int(F.resultant, p)
-    # at good reduction every step valuation is 0: H = -m0 log p, no truncation
-    m0, steps = _padic_steps(F, x0, x1, p, e, n_iter if e else 0)
-    if e == 0:
-        return log_rational_multiple(-m0, p)
+    if e == 0:  # every step valuation is 0: H = -m0 log p, no truncation, no orbit
+        return log_rational_multiple(-min(ord_fraction(x0, p), ord_fraction(x1, p)), p)
+    m0, steps = _padic_steps(F, x0, x1, p, e, n_iter)
     # H = -m0 - sum_{k=1..n} m_k / d^k; Horner keeps the integer numerator
     # over d^n, so no Fraction arithmetic runs per step
     num = 0
@@ -265,52 +264,54 @@ def green_pairing(
     """
     if x == y:
         raise DiagonalPairingError(f"green pairing at the diagonal: {x}")
-    return green_pairing_from_heights(F, x, y, v, memo_local_heights(F, n_iter))
+    return green_pairing_from_heights(x, y, x.wedge(y), v, LocalHeights(F, n_iter))
 
 
-def memo_local_heights(F: HomogeneousLift, n_iter: int):
-    """height(x, v) = H_v(x) of a ProjPoint's canonical lift, each (x, v)
-    computed at most once per returned function.
-
-    Callers keep the function for one computation only; no cache outlives it.
+class LocalHeights:
+    """Per-map memo of height(x, v) = H_v(x) on a ProjPoint's canonical lift and
+    height.resultant_term(v) = -log|Res F|_v / (d(d-1)), each computed at most
+    once per instance.  Keep one for one computation only.
     """
-    local = {}
 
-    def height(x: ProjPoint, place: Place) -> CertifiedValue:
-        if (x, place) not in local:
-            local[x, place] = hom_local_height(F, x.lift(), place, n_iter)
-        return local[x, place]
+    def __init__(self, F: HomogeneousLift, n_iter: int):
+        self.F, self.n_iter = F, n_iter
+        self._local, self._res = {}, {}
 
-    return height
+    def __call__(self, x: ProjPoint, place: Place) -> CertifiedValue:
+        key = (x.x0, x.x1, place.prime)  # plain ints hash faster than the dataclasses
+        cv = self._local.get(key)
+        if cv is None:
+            cv = self._local[key] = hom_local_height(self.F, x.lift(), place, self.n_iter)
+        return cv
+
+    def resultant_term(self, v: Place) -> CertifiedValue:
+        p = v.prime
+        if p not in self._res:
+            res, c = self.F.resultant, self.F.d * (self.F.d - 1)
+            self._res[p] = (
+                -log_abs_certified(res).div_int(c) if p is None
+                else log_rational_multiple(Fraction(ord_int(res, p), c), p)
+            )
+        return self._res[p]
 
 
-def green_pairing_from_heights(
-    F: HomogeneousLift, x: ProjPoint, y: ProjPoint, v: Place, height
-) -> CertifiedValue:
-    """The formula of ``green_pairing`` for distinct x, y, with height(z, v) = H_v(z).
-
-    height is called only where the pairing needs it, and the terms are
-    added in a fixed order, so a caller that already holds the local
-    heights gets the same bytes.
+def green_pairing_from_heights(x: ProjPoint, y: ProjPoint, w: int, v: Place, height):
+    """The one formula of ``green_pairing``, for distinct x, y with w = x^y and
+    a ``LocalHeights`` memo: its terms are read only where needed and added
+    in a fixed order, so the bytes never depend on what the memo holds.
     """
-    d = F.d
-    c = d * (d - 1)
-    w = x.wedge(y)
-    res = F.resultant
     if v.is_archimedean:
         total = -log_abs_certified(w)
         total = total + height(x, v)
         total = total + height(y, v)
-        total = total - log_abs_certified(res).div_int(c)
-        return total
+        return total + height.resultant_term(v)
     p = v.prime
-    if w % p != 0 and res % p != 0:
+    if w % p != 0 and height.F.resultant % p != 0:
         return CertifiedValue.exact_zero()
     total = log_rational_multiple(ord_int(w, p), p)  # -log|w|_p
     total = total + height(x, v)
     total = total + height(y, v)
-    total = total + log_rational_multiple(Fraction(ord_int(res, p), c), p)
-    return total
+    return total + height.resultant_term(v)
 
 
 # ---------------------------------------------------------------------------

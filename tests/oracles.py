@@ -14,7 +14,9 @@ with binomial coefficients, then canonicalized and its resultant taken.  The p-a
 iterates exact Fractions, where the library reads valuations off a residue
 orbit; the per-form residue orbit evaluates P and Q one at a time and takes
 each valuation by repeated division, where the library runs one Horner pass
-for both forms and one gcd with p^r.
+for both forms and one gcd with p^r.  The pairing oracle recomputes the
+wedge and the resultant term for every (pair, place) term, where the energy
+table computes each once per pair and once per place.
 """
 
 from __future__ import annotations
@@ -23,8 +25,19 @@ import math
 from fractions import Fraction
 
 import mpmath
+from sympy import factorint
 
-from dynheights import BinaryForm, HomogeneousLift, MinResCertificate, Mobius, ord_res_at
+from dynheights import (
+    BinaryForm,
+    CertifiedValue,
+    HomogeneousLift,
+    MinResCertificate,
+    Mobius,
+    Place,
+    hom_local_height,
+    ord_res_at,
+)
+from dynheights.certified import log_abs_certified, log_rational_multiple
 from dynheights.maps_core import resultant_ratio
 from dynheights.reduction import _ARCH_FAMILY_CAP, _ARCH_FAMILY_RADIUS, neighbor_moves
 
@@ -312,6 +325,68 @@ def _ord_frac(x: Fraction, p: int):
     if x == 0:
         return float("inf")
     return _ord_int(x.numerator, p) - _ord_int(x.denominator, p)
+
+
+# ---------------------------------------------------------------------------
+# Green pairings and energy sums
+# ---------------------------------------------------------------------------
+
+
+def green_pairing_by_formula(F, x, y, v, height):
+    """g_v(x, y) = -log|x^y|_v + H_v(x) + H_v(y) - log|Res F|_v / (d(d-1)),
+    with every term computed afresh for this pair and place.
+
+    The same terms as ``local_heights.green_pairing_from_heights``, built
+    with the same rounding helpers and added in the same order, so the two
+    agree bit for bit; the library takes the wedge from its caller and the
+    resultant term from a per-place memo.
+    """
+    d = F.d
+    c = d * (d - 1)
+    w = x.wedge(y)
+    res = F.resultant
+    if v.is_archimedean:
+        total = -log_abs_certified(w)
+        total = total + height(x, v)
+        total = total + height(y, v)
+        total = total - log_abs_certified(res).div_int(c)
+        return total
+    p = v.prime
+    if w % p != 0 and res % p != 0:
+        return CertifiedValue.exact_zero()
+    total = log_rational_multiple(_ord_int(w, p), p)  # -log|w|_p
+    total = total + height(x, v)
+    total = total + height(y, v)
+    total = total + log_rational_multiple(Fraction(_ord_int(res, p), c), p)
+    return total
+
+
+def energy_by_formula(F, pts, v, n_iter: int):
+    """Unordered energy sum over i < j of distinct pts at the place v, or over
+    all places for v = "all", folded pair by pair with
+    ``green_pairing_by_formula``.
+
+    For "all" the places of a pair are infinity and the primes of Res and of
+    the wedge, ascending, from sympy's factorint; each local height comes
+    from ``hom_local_height`` on the canonical lift.
+    """
+    heights = {}
+
+    def height(x, place):
+        if (x, place) not in heights:
+            heights[x, place] = hom_local_height(F, x.lift(), place, n_iter)
+        return heights[x, place]
+
+    total = CertifiedValue.exact_zero()
+    for i, x in enumerate(pts):
+        for y in pts[i + 1 :]:
+            places = [v]
+            if v == "all":
+                primes = set(factorint(abs(F.resultant))) | set(factorint(abs(x.wedge(y))))
+                places = [Place.archimedean()] + [Place.finite(p) for p in sorted(primes)]
+            for place in places:
+                total = total + green_pairing_by_formula(F, x, y, place, height)
+    return total
 
 
 # ---------------------------------------------------------------------------

@@ -71,6 +71,31 @@ def test_certified_invariants():
     assert z.value == 0.0 and z.err == 0.0 and z.exact
 
 
+def test_certified_value_contract():
+    cv = CertifiedValue(1.5, 2e-09)
+    for name in ("value", "err", "exact", "other"):
+        with pytest.raises(AttributeError):
+            setattr(cv, name, 0.0)
+    with pytest.raises(AttributeError):
+        CertifiedValue.exact_zero().value = 1.0
+    for bad in (-1e-300, -math.inf, math.nan):
+        with pytest.raises(ValueError):
+            CertifiedValue(1.0, bad)
+        with pytest.raises(ValueError):
+            cv._replace(err=bad)
+    with pytest.raises(ValueError):
+        CertifiedValue(1.0, 1e-300, exact=True)
+    assert cv == CertifiedValue(1.5, 2e-09, False) and hash(cv) == hash(CertifiedValue(1.5, 2e-09))
+    assert cv != CertifiedValue(1.5, 2e-09, exact=False).widen(1e-20)
+    assert CertifiedValue.exact_zero() == CertifiedValue(0.0, 0.0, exact=True)
+    assert hash(CertifiedValue.exact_zero()) == hash(CertifiedValue(0.0, 0.0, exact=True))
+    assert repr(cv) == "CertifiedValue(value=1.5, err=2e-09, exact=False)"
+    assert repr(CertifiedValue.exact_zero()) == "CertifiedValue(value=0.0, err=0.0, exact=True)"
+    assert cv.to_json_dict() == {"value": 1.5, "err": 2e-09, "exact": False}
+    text = json.dumps(cv.to_json_dict(), sort_keys=True)
+    assert text == '{"err": 2e-09, "exact": false, "value": 1.5}'
+
+
 def test_certified_addition_is_outward():
     a = CertifiedValue(1.0, 1e-10)
     b = CertifiedValue(2.0, 3e-10)

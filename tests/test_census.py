@@ -8,6 +8,7 @@ from dynheights import (
     DuplicatePointsError,
     InputError,
     Mobius,
+    Place,
     ProjPoint,
     canonical_height,
     comparison_scatter,
@@ -22,8 +23,8 @@ from dynheights import (
     verify_cycle,
 )
 
-from conftest import lift
-from oracles import hhat_limit
+from conftest import lift, random_lift
+from oracles import energy_by_formula, hhat_limit
 
 
 # ---------------------------------------------------------------------------
@@ -231,6 +232,32 @@ def test_energy_rejects_duplicates_and_singletons(monomial):
         energy_sum(monomial, [ProjPoint(2, 1), ProjPoint(4, 2)], "all")
     with pytest.raises(InputError):
         energy_sum(monomial, [ProjPoint(2, 1)], "all")
+
+
+def _bits(cv):
+    return cv.value.hex(), cv.err.hex(), cv.exact
+
+
+def test_energy_table_matches_per_pair_oracle():
+    rng = random.Random(14)
+    maps = 0
+    while maps < 30:
+        F = random_lift(rng, 2 + maps % 3, coeff_bound=6)
+        if not F.resultant_primes:
+            continue
+        maps += 1
+        p = F.resultant_primes[0]
+        q = next(r for r in (2, 3, 5, 7, 11, 13, 17, 19, 23, 29) if F.resultant % r)
+        # [0:1]^[p:1] = -p shares a Res prime; [0:1]^[q:1] = -q is a wedge
+        # prime of good reduction
+        pts = [ProjPoint(0, 1), ProjPoint(p, 1), ProjPoint(q, 1)]
+        while len(pts) < 7:
+            x = ProjPoint(rng.randint(-6, 6), rng.randint(0, 6) or 1)
+            if x not in pts:
+                pts.append(x)
+        for v in ("all", Place.archimedean(), Place.finite(p), Place.finite(q)):
+            rep = energy_sum(F, pts, v, n_iter=12)
+            assert _bits(rep.unordered) == _bits(energy_by_formula(F, pts, v, 12)), (F, v)
 
 
 # ---------------------------------------------------------------------------

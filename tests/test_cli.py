@@ -8,6 +8,9 @@ import sys
 import time
 
 import pytest
+from sympy import factorint
+
+from dynheights import HomogeneousLift, milnor_invariants, sylvester_resultant
 
 MONOMIAL = {"d": 2, "P": ["1", "0", "0"], "Q": ["0", "0", "1"]}
 Z2_MINUS_1 = {"d": 2, "P": ["1", "0", "-1"], "Q": ["0", "0", "1"]}
@@ -543,13 +546,19 @@ def _digest_panel(map_file):
     return calls
 
 
-def _run_in_process(argv):
+def _main_in_process(argv):
+    """(exit code, stdout, stderr) of cli.main in this interpreter."""
     from dynheights import cli
 
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         code = cli.main(argv)
-    return code, hashlib.sha256(out.getvalue().encode()).hexdigest()
+    return code, out.getvalue(), err.getvalue()
+
+
+def _run_in_process(argv):
+    code, out, _ = _main_in_process(argv)
+    return code, hashlib.sha256(out.encode()).hexdigest()
 
 
 #: exit code and sha256 of stdout per panel call; the first 37 were recorded
@@ -628,3 +637,57 @@ PINNED_DIGESTS = {
 def test_stdout_digests_pinned(map_file):
     got = {label: _run_in_process(argv) for label, argv in _digest_panel(map_file)}
     assert got == PINNED_DIGESTS
+
+
+def test_census_manifest_counts_the_energy_table(map_file):
+    argv = ["census", "--map", map_file(SIXTH), "--bound", "2.0", "--t-fraction", "30"]
+    code, out, err = _main_in_process(argv)
+    assert code == 0
+    digest = hashlib.sha256(out.encode()).hexdigest()
+    assert (code, digest) == PINNED_DIGESTS["sixth/census-cap"]
+    assert "stats" not in out and "energy_pairs" not in out
+    (line,) = [ln for ln in err.splitlines() if ln.startswith("manifest: ")]
+    manifest = json.loads(line[len("manifest: "):])
+    assert manifest["output_digest"] == digest
+    rows = json.loads(out)["points"][:60]  # the energy-table cap
+    pts = [tuple(int(c) for c in row["point"][1:-1].split(":")) for row in rows]
+    terms = 0
+    for i, (a, b) in enumerate(pts):
+        for c, e in pts[i + 1 :]:
+            terms += 1 + len({2, 3} | set(factorint(abs(a * e - b * c))))  # Res = 2^4 3^4
+    assert manifest["stats"] == {"energy_pairs": 60 * 59 // 2, "energy_terms": terms}
+
+
+#: wire-format maps with 1,501- and 2,501-digit entries: the resultant of the
+#: cubic has 9,000 digits and the Milnor sigmas of the quadratic 14,703 to
+#: 19,602 characters, all past Python's default 4,300-digit int-to-str limit
+BIG_CUBIC = {"d": 3, "P": ["1" + "0" * 1500, "0", "0", "1"], "Q": ["0", "0", "3", "1" + "0" * 1500]}
+BIG_QUADRATIC = {"d": 2, "P": ["1" + "0" * 2500, "7", "1"], "Q": ["3", "0", "1" + "0" * 2400]}
+
+
+@pytest.mark.parametrize("command", ["resultant", "milnor"])
+def test_integers_past_the_str_digit_limit_print_in_full(map_file, command):
+    from dynheights.formats import load_forms
+
+    obj = BIG_CUBIC if command == "resultant" else BIG_QUADRATIC
+    path = map_file(obj)
+    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)
+    before = limit()
+    code, out, err = _main_in_process([command, "--map", path])
+    assert code == 0, err
+    assert limit() == before  # main runs in-process under the benchmark too
+    P, Q = load_forms(path)
+    if command == "resultant":
+        expected = {"res": sylvester_resultant(P, Q)}
+    else:
+        inv = milnor_invariants(HomogeneousLift(P, Q))
+        expected = {"sigma1": inv.sigma1, "sigma2": inv.sigma2, "sigma3": inv.sigma3}
+    if before:
+        sys.set_int_max_str_digits(0)
+    try:
+        got = json.loads(out)
+        assert max(len(str(v)) for v in expected.values()) > 4300
+        assert {k: got[k] for k in expected} == {k: str(v) for k, v in expected.items()}
+    finally:
+        if before:
+            sys.set_int_max_str_digits(before)

@@ -21,6 +21,7 @@ from dynheights import (
 )
 import dynheights.local_heights as local_heights
 from dynheights.arith import ord_int
+from dynheights.certified import log_rational_multiple
 from dynheights.local_heights import _padic_steps
 from dynheights.maps_core import sylvester_cofactor_pair
 
@@ -277,6 +278,29 @@ def test_padic_steps_match_per_form_oracle():
             cases += 1
     assert seen_d == {2, 3, 4} and {1, 2, 3, 4} <= seen_e and signs == {-1, 0, 1}
     assert restarts >= 100
+
+
+@pytest.mark.parametrize(
+    "xt, m0",
+    [
+        ((9, 2), 0),
+        ((9, 3), 1),
+        ((27, 0), 3),
+        ((Fraction(1, 9), 1), -2),
+        ((Fraction(2, 3), Fraction(4, 9)), -2),
+        ((Fraction(2, 7), 5), 0),
+        ((Fraction(3, 2), Fraction(9, 5)), 1),
+    ],
+)
+def test_good_reduction_height_runs_no_orbit(z2_plus_half, monkeypatch, xt, m0):
+    def no_orbit(*args):
+        raise AssertionError("_padic_steps ran at a prime of good reduction")
+
+    monkeypatch.setattr(local_heights, "_padic_steps", no_orbit)
+    for F in (z2_plus_half, lift([1, 0, -1], [0, 0, 1])):
+        assert F.resultant % 3 != 0
+        got = hom_local_height(F, xt, Place.finite(3), 30)
+        assert got == log_rational_multiple(-m0, 3) and got.exact == (m0 == 0)
 
 
 def test_local_height_rejects_origin_and_bad_iters(monomial):
