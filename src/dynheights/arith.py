@@ -2,19 +2,34 @@
 
 Everything here is deterministic and allocation-light: valuations by
 exponential lifting (so valuations of million-bit integers stay cheap),
-fraction-free Bareiss determinants over the integers, and thin wrappers
-around sympy's factorization.
+fraction-free Bareiss determinants over the integers, primality by a table
+below 2^16 and strong Miller-Rabin to the 13 prime bases 2..41 above, which
+decides every n < 3,317,044,064,679,887,385,961,981 (Sorenson-Webster,
+Math. Comp. 2017), and factorization by trial division by the primes below
+2^16 (a cofactor left below 2^32 is prime).  sympy is imported only for
+what these cannot settle: ``isprime`` above that bound and ``factorint``
+on a composite cofactor.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd
-
-from sympy import factorint, isprime
+from itertools import compress
+from math import gcd, isqrt
 
 #: sentinel valuation of 0 (larger than any valuation we ever compare against)
 ORD_INFINITY = float("inf")
+
+_SIEVE_LIMIT = 1 << 16
+_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+_MR_BOUND = 3317044064679887385961981
+_PRIMES: list = []  # the primes below _SIEVE_LIMIT, listed on first use
+#: byte n is 1 exactly when n < _SIEVE_LIMIT is prime (odd-only Eratosthenes)
+_SIEVE = bytearray(b"\x01") * _SIEVE_LIMIT
+_SIEVE[:2], _SIEVE[4::2] = b"\x00\x00", bytes(_SIEVE_LIMIT // 2 - 2)
+for _i in range(3, 256, 2):
+    if _SIEVE[_i]:
+        _SIEVE[_i * _i :: 2 * _i] = bytes((_SIEVE_LIMIT - 1 - _i * _i) // (2 * _i) + 1)
 
 
 def ord_int(n: int, p: int):
@@ -77,13 +92,50 @@ def content(coeffs) -> int:
 def prime_factors_abs(n: int) -> dict[int, int]:
     """Prime factorization of |n| as {p: multiplicity}; {} for |n| = 1."""
     n = abs(n)
+    out = {}
     if n <= 1:
-        return {}
-    return {int(p): int(e) for p, e in factorint(n).items()}
+        return out
+    if not _PRIMES:
+        _PRIMES.extend([2, *compress(range(3, _SIEVE_LIMIT, 2), _SIEVE[3::2])])
+    lim = isqrt(n)
+    for p in _PRIMES:
+        if p > lim:
+            break
+        if n % p == 0:
+            out[p] = e = ord_int(n, p)
+            n //= p**e
+            lim = isqrt(n)
+    if n >= _SIEVE_LIMIT**2 and not is_prime(n):  # a composite cofactor
+        from sympy import factorint
+        out.update((int(q), int(e)) for q, e in factorint(n).items())
+    elif n > 1:  # no prime factor below 2^16, so prime if below 2^32
+        out[n] = 1
+    return out
 
 
-def is_prime(p: int) -> bool:
-    return bool(isprime(p))
+def is_prime(n: int) -> bool:
+    """Whether n is prime: proven below _MR_BOUND, sympy's ``isprime`` above."""
+    if n < _SIEVE_LIMIT:
+        return n > 1 and _SIEVE[n] == 1
+    for p in _MR_BASES:
+        if n % p == 0:
+            return False
+    if n >= _MR_BOUND:
+        from sympy import isprime
+        return bool(isprime(n))
+    s = ((n - 1) & (1 - n)).bit_length() - 1  # n - 1 = d 2^s with d odd
+    d = (n - 1) >> s
+    for a in _MR_BASES:
+        x = pow(a, d, n)
+        if x == 1 or x == n - 1:
+            continue
+        for _ in range(s - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
+            return False
+    return True
 
 
 def bareiss_det(rows) -> int:

@@ -33,10 +33,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 
-from sympy.polys.densebasic import dmp_normal
-from sympy.polys.domains import ZZ
-from sympy.polys.euclidtools import dmp_resultant
-
 from .arith import abs_p, bareiss_det, content, is_prime, prime_factors_abs
 from .certified import CertifiedValue, log_abs_certified
 from .errors import (
@@ -491,21 +487,24 @@ def milnor_invariants(F: HomogeneousLift) -> MilnorInvariants:
         Res_z(phi, (w - 1) q - phi') = c * prod_i (w - lambda_i),
 
     with c = lc(phi)^2 * prod_i q(z_i) != 0 (q has no common root with p).
-    With m_0, ..., m_3 the coefficients from w^3 down, sigma_k =
-    (-1)^k m_k / m_0 exactly: one integer resultant in the multiplier
-    variable w.
+    phi has z-degree 3 (q_2 != 0 as infinity is not fixed) and the z^2
+    coefficient of the second form is q_2 (w + 2), so at w = 0, 1, 2, 3 the
+    resultant is a 5 x 5 Sylvester determinant; forward differences give
+    6 (m_0 w^3 + ... + m_3) exactly, and sigma_k = (-1)^k m_k / m_0.
     """
     if F.d != 2:
         raise UnsupportedDegreeError("Milnor coordinates are defined for degree 2 only")
     s = next(s for s in range(F.d + 2) if F.P.evaluate(s, 1) != s * F.Q.evaluate(s, 1))
     chart = conjugate(F, Mobius(0, 1, 1, -s))
     p, q = chart.P.coeffs, chart.Q.coeffs
-    phi = [p[0], p[1] - q[0], p[2] - q[1], -q[2]]  # ascending in z
-    dphi = [k * c for k, c in enumerate(phi)][1:]
-    # two-level dense polynomials: z outer, w inner, both descending
-    phi_zw = dmp_normal([[c] for c in reversed(phi)], 1, ZZ)
-    psi_zw = dmp_normal([[b, -b - c] for b, c in zip(reversed(q), reversed(dphi))], 1, ZZ)
-    m = [int(c) for c in dmp_resultant(phi_zw, psi_zw, 1, ZZ)]
+    a = [-q[2], p[2] - q[1], p[1] - q[0], p[0]]  # phi = p - z q, descending in z
+    r = []
+    for w in range(4):
+        b = [(w - 1) * q[k] - (k + 1) * a[2 - k] for k in (2, 1, 0)]  # (w - 1) q - phi'
+        rows = [a + [0], [0] + a] + [[0] * i + b + [0] * (2 - i) for i in range(3)]
+        r.append(bareiss_det(rows))
+    d1, d2, d3 = r[1] - r[0], r[2] - 2 * r[1] + r[0], r[3] - 3 * r[2] + 3 * r[1] - r[0]
+    m = [d3, 3 * d2 - 3 * d3, 6 * d1 - 3 * d2 + 2 * d3, 6 * r[0]]
     sigma1 = Fraction(-m[1], m[0])
     sigma2 = Fraction(m[2], m[0])
     sigma3 = Fraction(-m[3], m[0])

@@ -50,9 +50,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import islice
 
-from sympy.polys.domains import ZZ
-from sympy.polys.galoistools import gf_factor, gf_from_int_poly, gf_gcd
-
 from .arith import is_prime, ord_fraction, ord_int
 from .errors import InputError, OracleRadiusError
 from .maps_core import HomogeneousLift, Mobius, _conjugate_forms, conjugate
@@ -235,6 +232,70 @@ def ord_res_at(F: HomogeneousLift, p: int, phi: Mobius) -> int:
     return ord_int(conjugate(F, phi).resultant, p)
 
 
+def _fp_trim(f, p: int) -> list:
+    """f reduced mod p as a descending list without leading zeros ([] for 0)."""
+    f = [c % p for c in f]
+    while f and f[0] == 0:
+        del f[0]
+    return f
+
+
+def _fp_divmod(a: list, b: list, p: int) -> tuple:
+    """Quotient and remainder of a by the monic b over F_p (descending lists)."""
+    a, n = list(a), len(b) - 1
+    for i in range(len(a) - n):
+        if a[i]:
+            for j in range(1, n + 1):
+                a[i + j] = (a[i + j] - a[i] * b[j]) % p
+    k = max(len(a) - n, 0)
+    return a[:k], _fp_trim(a[k:], p)
+
+
+def _fp_gcd(a: list, b: list, p: int) -> list:
+    """Monic gcd over F_p of two trimmed lists, not both zero."""
+    a, b = (a, b) if b else (b, a)
+    while b:
+        inv = pow(b[0], -1, p)
+        b = [c * inv % p for c in b]
+        a, b = b, _fp_divmod(a, b, p)[1]
+    return a
+
+
+def _fp_mulmod(a: list, b: list, g: list, p: int) -> list:
+    """a * b mod the monic g over F_p."""
+    out = [0] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            out[i + j] += x * y
+    return _fp_divmod(out, g, p)[1]
+
+
+def _fp_powmod(f: list, e: int, g: list, p: int) -> list:
+    """f^e mod the monic g over F_p, by square-and-multiply."""
+    acc = [1]
+    for bit in bin(e)[2:]:
+        acc = _fp_mulmod(acc, acc, g, p)
+        if bit == "1":
+            acc = _fp_mulmod(acc, f, g, p)
+    return acc
+
+
+def _fp_split(h: list, p: int, a: int) -> list:
+    """Roots of a monic h over F_p, p odd, whose roots are distinct and in F_p.
+
+    gcd(h, (x + a)^((p-1)/2) - 1) holds the roots r with r + a a nonzero
+    square; a runs a, a + 1, ... until that gcd is a proper factor."""
+    if len(h) <= 2:
+        return [-h[1] % p] if h[1:] else []
+    while True:
+        t = [0] + _fp_powmod([1, a % p], (p - 1) // 2, h, p)
+        t[-1] -= 1
+        s = _fp_gcd(h, _fp_trim(t, p), p)
+        a += 1
+        if 1 < len(s) < len(h):
+            return _fp_split(s, p, a) + _fp_split(_fp_divmod(h, s, p)[0], p, a)
+
+
 def hole_moves(G: HomogeneousLift, p: int) -> list:
     """The neighbor moves at the reduction holes of the canonical lift G.
 
@@ -243,17 +304,21 @@ def hole_moves(G: HomogeneousLift, p: int) -> list:
     neighbors whose conjugate can have ord_p Res <= ord_p Res(G) (module
     docstring).  There are at most d of them, whatever the size of p: the
     gcd has degree <= d, and <= d - 1 when both x^d coefficients vanish.
+    Its roots in F_p are those of its gcd with x^p - x, split by
+    (x + a)^((p-1)/2) - 1 (Rabin 1980; Cantor-Zassenhaus 1981); for
+    p <= deg + 1 each residue is tried instead.
     """
     moves = []
     if G.P.coeffs[-1] % p == 0 and G.Q.coeffs[-1] % p == 0:
         moves.append(Mobius(p, 0, 0, 1))
-    common = gf_gcd(
-        gf_from_int_poly(G.P.descending(), p), gf_from_int_poly(G.Q.descending(), p), p, ZZ
-    )
-    for factor, _ in gf_factor(common, p, ZZ)[1]:
-        if len(factor) == 2:  # monic x + j, whose root is -j
-            moves.append(Mobius(1, factor[1], 0, p))
-    return moves
+    g = _fp_gcd(_fp_trim(G.P.descending(), p), _fp_trim(G.Q.descending(), p), p)
+    if p <= len(g):
+        roots = [r for r in range(p) if not _fp_divmod(g, [1, -r % p], p)[1]]
+    else:
+        xp = [0, 0] + _fp_powmod([1, 0], p, g, p)
+        xp[-2] -= 1
+        roots = _fp_split(_fp_gcd(g, _fp_trim(xp, p), p), p, 0)
+    return moves + [Mobius(1, j, 0, p) for j in sorted(-r % p for r in roots)]
 
 
 # ---------------------------------------------------------------------------

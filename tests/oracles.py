@@ -16,7 +16,9 @@ orbit; the per-form residue orbit evaluates P and Q one at a time and takes
 each valuation by repeated division, where the library runs one Horner pass
 for both forms and one gcd with p^r.  The pairing oracle recomputes the
 wedge and the resultant term for every (pair, place) term, where the energy
-table computes each once per pair and once per place.
+table computes each once per pair and once per place.  The F_p-root and
+Milnor oracles are the sympy paths the library used before it had its own:
+``gf_gcd``/``gf_factor`` over F_p, and ``dmp_resultant`` over Z[w].
 """
 
 from __future__ import annotations
@@ -26,6 +28,10 @@ from fractions import Fraction
 
 import mpmath
 from sympy import factorint
+from sympy.polys.densebasic import dmp_normal
+from sympy.polys.domains import ZZ
+from sympy.polys.euclidtools import dmp_resultant
+from sympy.polys.galoistools import gf_factor, gf_from_int_poly, gf_gcd
 
 from dynheights import (
     BinaryForm,
@@ -34,6 +40,7 @@ from dynheights import (
     MinResCertificate,
     Mobius,
     Place,
+    conjugate,
     hom_local_height,
     ord_res_at,
 )
@@ -451,3 +458,32 @@ def _poly_eval(desc, x):
 def _poly_deriv(desc):
     n = len(desc) - 1
     return [c * (n - i) for i, c in enumerate(desc[:-1])] or [mpmath.mpf(0)]
+
+
+def hole_moves_by_gf_factor(G, p: int) -> list:
+    """``reduction.hole_moves`` through sympy: the monic linear factors x + j
+    of gcd(P(x,1), Q(x,1)) over F_p from ``gf_factor``, in its order."""
+    moves = []
+    if G.P.coeffs[-1] % p == 0 and G.Q.coeffs[-1] % p == 0:
+        moves.append(Mobius(p, 0, 0, 1))
+    common = gf_gcd(
+        gf_from_int_poly(G.P.descending(), p), gf_from_int_poly(G.Q.descending(), p), p, ZZ
+    )
+    for factor, _ in gf_factor(common, p, ZZ)[1]:
+        if len(factor) == 2:
+            moves.append(Mobius(1, int(factor[1]), 0, p))
+    return moves
+
+
+def milnor_sigmas_by_dmp_resultant(F) -> tuple:
+    """(sigma1, sigma2, sigma3) of a quadratic map from one sympy resultant
+    Res_z(phi, (w - 1) q - phi') over Z[w], in the chart of ``milnor_invariants``."""
+    s = next(s for s in range(4) if F.P.evaluate(s, 1) != s * F.Q.evaluate(s, 1))
+    chart = conjugate(F, Mobius(0, 1, 1, -s))
+    p, q = chart.P.coeffs, chart.Q.coeffs
+    phi = [p[0], p[1] - q[0], p[2] - q[1], -q[2]]  # ascending in z
+    dphi = [k * c for k, c in enumerate(phi)][1:]
+    phi_zw = dmp_normal([[c] for c in reversed(phi)], 1, ZZ)
+    psi_zw = dmp_normal([[b, -b - c] for b, c in zip(reversed(q), reversed(dphi))], 1, ZZ)
+    m = [int(c) for c in dmp_resultant(phi_zw, psi_zw, 1, ZZ)]
+    return Fraction(-m[1], m[0]), Fraction(m[2], m[0]), Fraction(-m[3], m[0])

@@ -6,9 +6,17 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from sympy import factorint, isprime, nextprime, primerange
 
 from dynheights import CertifiedValue, HomogeneousLift, InputError, ProjPoint
-from dynheights.arith import bareiss_det, content, ord_fraction, ord_int
+from dynheights.arith import (
+    bareiss_det,
+    content,
+    is_prime,
+    ord_fraction,
+    ord_int,
+    prime_factors_abs,
+)
 from dynheights.certified import log_abs_certified, log_rational_multiple
 from dynheights.formats import (
     lift_from_json_dict,
@@ -55,6 +63,72 @@ def test_content():
     assert content([6, 10, -4]) == 2
     assert content([0, 0, 7]) == 7
     assert content([]) == 0
+
+
+# ---------------------------------------------------------------------------
+# Primality and factorization against sympy
+# ---------------------------------------------------------------------------
+
+
+def test_is_prime_matches_sympy():
+    assert [n for n in range(-5, 10**6) if is_prime(n)] == list(primerange(2, 10**6))
+    rng = random.Random(18)
+    for _ in range(10**5):
+        n = rng.randrange(10 ** rng.randint(6, 30))
+        assert is_prime(n) == isprime(n), n
+
+
+def _carmichael(n: int) -> bool:
+    """Korselt's criterion: n composite, squarefree, and p - 1 | n - 1 for every p | n."""
+    f = factorint(n)
+    return len(f) > 1 and all(e == 1 and (n - 1) % (p - 1) == 0 for p, e in f.items())
+
+
+def test_is_prime_rejects_strong_pseudoprimes_and_carmichael_numbers():
+    # the least strong pseudoprimes to the first 4, 9, 12 and 13 prime bases:
+    # the 13-base one is where the Miller-Rabin range ends
+    for n in (3215031751, 3825123056546413051, 318665857834031151167461,
+              3317044064679887385961981):
+        assert not is_prime(n) and not isprime(n)
+    # Chernick's (6k+1)(12k+1)(18k+1) with three prime factors, below and above 2^64
+    chernick = [
+        (6 * k + 1) * (12 * k + 1) * (18 * k + 1)
+        for k in list(range(1, 400)) + list(range(10**7, 10**7 + 3000))
+        if isprime(6 * k + 1) and isprime(12 * k + 1) and isprime(18 * k + 1)
+    ]
+    assert len(chernick) > 20 and chernick[-1] > 2**64
+    for n in [561, 1105, 1729, 2465, 2821, 6601, 8911, 41041, 75361, 101101] + chernick:
+        assert _carmichael(n) and not is_prime(n), n
+    assert is_prime(8149259477) and is_prime(2**61 - 1)
+
+
+def _factor_cases(rng, count):
+    """Seeded integers up to about 10^30 whose sympy factorization is quick."""
+    small = list(primerange(2, 1000))
+    near = list(primerange(2**16 - 300, 2**16 + 300))  # both sides of the table's end
+    for i in range(count):
+        kind = i % 5
+        if kind == 0:
+            n = rng.randrange(1, 10 ** rng.randint(1, 15))
+        elif kind == 1:  # prime powers up to p^20, times a little
+            n = rng.choice(small) ** rng.randint(1, 20) * rng.randrange(1, 1000)
+        elif kind == 2:
+            n = rng.choice(near) * rng.choice(near) * rng.randrange(1, 10**4)
+        elif kind == 3:  # a composite cofactor without a factor below 2^16
+            n = nextprime(rng.randrange(2**16, 2**22)) * nextprime(rng.randrange(2**16, 2**22))
+            n *= rng.randrange(1, 10**6)
+        else:  # a smooth part and one large prime
+            n = rng.randrange(1, 10**6) * nextprime(rng.randrange(2**16, 10 ** rng.randint(6, 24)))
+        yield n * rng.choice((1, -1))
+
+
+def test_prime_factors_abs_matches_factorint():
+    rng = random.Random(18)
+    for n in _factor_cases(rng, 2000):
+        assert prime_factors_abs(n) == factorint(abs(n)), n
+    for n in (0, 1, -1):
+        assert prime_factors_abs(n) == {}
+    assert prime_factors_abs(2**800 * 5**800) == {2: 800, 5: 800}
 
 
 # ---------------------------------------------------------------------------

@@ -2,12 +2,15 @@ import math
 import random
 
 import pytest
+from sympy import factorint, primerange
 
 from dynheights import (
     InputError,
     Mobius,
+    HomogeneousLift,
     Place,
     ProjPoint,
+    apply_map,
     canonical_height,
     conjugate,
     functional_check,
@@ -65,6 +68,48 @@ def test_canonical_against_defining_limit():
         oracle = hhat_limit(F, x, n)
         tol = height_gap_constant(F) / d**n + hb.total.err + 1e-9
         assert abs(hb.total.value - oracle) <= tol
+
+
+_PRIMES_TO_1000 = list(primerange(2, 1000))
+
+
+def _res_primes_up_to_1000(res: int):
+    """The distinct primes of res if they are all below 1000, else None."""
+    res, primes = abs(res), []
+    for p in _PRIMES_TO_1000:
+        if res % p == 0:
+            primes.append(p)
+            while res % p == 0:
+                res //= p
+    return primes if res == 1 else None
+
+
+def test_heights_shaped_maps_factor_and_satisfy_the_functional_equation():
+    # the shape of the heights benchmark: d = 2, 3, 4, coefficients in
+    # [-12, 12], exactly two or three primes of Res, all below 1000 (prime
+    # powers up to about 15), points of 100/d digits and their images
+    rng = random.Random(1818)
+    for _ in range(40):
+        for d, n_primes in ((2, 2), (3, 2), (4, 2), (2, 3), (3, 3), (4, 3)):
+            while True:
+                p = [rng.randint(-12, 12) for _ in range(d + 1)]
+                q = [rng.randint(-12, 12) for _ in range(d + 1)]
+                if not any(p) or not any(q):
+                    continue
+                try:
+                    F = HomogeneousLift.from_coeffs(p, q)
+                except Exception:
+                    continue
+                primes = _res_primes_up_to_1000(F.resultant)
+                if primes is not None and len(primes) == n_primes:
+                    break
+            assert F.resultant_primes == tuple(sorted(factorint(abs(F.resultant))))
+            top = 10 ** (100 // d)
+            x = ProjPoint(rng.randint(-top, top), rng.randint(1, top))
+            h_x = canonical_height(F, x).total
+            h_fx = canonical_height(F, apply_map(F, x)).total
+            slack = 8 * 2.0**-52 * (abs(h_fx.value) + d * abs(h_x.value))
+            assert abs(h_fx.value - d * h_x.value) <= h_fx.err + d * h_x.err + slack, (F, x)
 
 
 def test_canonical_nonnegative_sampled():

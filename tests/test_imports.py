@@ -1,0 +1,92 @@
+"""The package runs on the standard library alone.
+
+Each check starts a fresh interpreter.  The first imports ``dynheights.cli``
+and lists every module the import added.  The others block sympy
+(``sys.modules["sympy"] = None`` makes any import of it raise ImportError)
+and then run the pinned-digest panel of the CLI tests and one round of
+each benchmark workload: every resultant there factors by trial division,
+every prime is decided by the table or by Miller-Rabin, and no operation
+may reach the lazy sympy fallback.
+"""
+
+import json
+import subprocess
+import sys
+from pathlib import Path
+
+from test_cli import PINNED_DIGESTS, _digest_panel, map_file  # noqa: F401 (fixture)
+
+BENCH = Path(__file__).resolve().parent.parent / "bench"
+
+_BLOCK_SYMPY = 'import sys\nsys.modules["sympy"] = None\n'
+
+
+def _run(script: str, stdin: str = "", timeout: float = 240) -> dict:
+    proc = subprocess.run(
+        [sys.executable, "-c", script], input=stdin, capture_output=True, text=True,
+        timeout=timeout,
+    )
+    assert proc.returncode == 0, proc.stderr
+    return json.loads(proc.stdout)
+
+
+def test_importing_the_cli_loads_only_the_package_and_the_standard_library():
+    added = _run(
+        "import json, sys\n"
+        "before = set(sys.modules)\n"
+        "import dynheights.cli\n"
+        "print(json.dumps(sorted(set(sys.modules) - before)))\n"
+    )
+    assert "dynheights.cli" in added
+    foreign = [
+        m for m in added
+        if m != "dynheights" and not m.startswith("dynheights.")
+        and m.split(".")[0] not in sys.stdlib_module_names
+    ]
+    assert foreign == []
+
+
+def test_digest_panel_runs_without_sympy(map_file):
+    panel = _digest_panel(map_file)
+    got = _run(
+        _BLOCK_SYMPY
+        + "import contextlib, hashlib, io, json\n"
+        "from dynheights import cli\n"
+        "got = {}\n"
+        "for label, argv in json.load(sys.stdin):\n"
+        "    out = io.StringIO()\n"
+        "    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):\n"
+        "        code = cli.main(argv)\n"
+        "    got[label] = [code, hashlib.sha256(out.getvalue().encode()).hexdigest()]\n"
+        "print(json.dumps(got))\n",
+        stdin=json.dumps(panel),
+    )
+    assert {label: tuple(v) for label, v in got.items()} == PINNED_DIGESTS
+
+
+def test_benchmark_rounds_run_without_sympy(tmp_path):
+    sys.path.insert(0, str(BENCH))
+    try:
+        import workloads
+    finally:
+        sys.path.remove(str(BENCH))
+    rounds = {}
+    for workload in ("badplaces", "heights", "census"):
+        out = tmp_path / workload
+        workloads.generate(workload, 401, 1, str(out))
+        rounds[workload] = str(out / "r00")
+    got = _run(
+        _BLOCK_SYMPY
+        + "import json\n"
+        f"sys.path.insert(0, {str(BENCH)!r})\n"
+        "import worker\n"
+        "got = {}\n"
+        "for workload, rdir in json.load(sys.stdin).items():\n"
+        "    results = worker.run_round(workload, worker.load_round(workload, rdir))\n"
+        "    got[workload] = len(results)\n"
+        "    if workload == 'census':\n"
+        "        got['census exit codes'] = [code for code, _ in results]\n"
+        "print(json.dumps(got))\n",
+        stdin=json.dumps(rounds),
+    )
+    assert got == {"badplaces": 12, "heights": 840, "census": 4, "census exit codes": [0] * 4}

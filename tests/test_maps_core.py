@@ -26,7 +26,12 @@ from dynheights.arith import ord_int, prime_factors_abs
 from dynheights.maps_core import _conjugate_forms, _integral_matrix, sylvester_matrix
 
 from conftest import lift, random_lift
-from oracles import conjugate_forms_by_composition, naive_resultant, sigma_numeric
+from oracles import (
+    conjugate_forms_by_composition,
+    milnor_sigmas_by_dmp_resultant,
+    naive_resultant,
+    sigma_numeric,
+)
 
 
 # ---------------------------------------------------------------------------
@@ -239,10 +244,13 @@ def test_mobius_basics():
 
 
 def test_place_validation():
-    assert Place.finite(7).prime == 7
     assert Place.archimedean().is_archimedean
-    with pytest.raises(InputError):
-        Place.finite(6)
+    # 561 is a Carmichael number, 3215031751 a strong pseudoprime to the bases 2, 3, 5, 7
+    for n in (0, 1, -3, 4, 6, 561, 3215031751):
+        with pytest.raises(InputError):
+            Place.finite(n)
+    for p in (2, 7, 41, 971, 8149259477):
+        assert Place.finite(p).prime == p
 
 
 # ---------------------------------------------------------------------------
@@ -298,6 +306,16 @@ def test_milnor_matches_numeric_fixed_points():
         inv = milnor_invariants(F)
         for exact, numeric in zip((inv.sigma1, inv.sigma2, inv.sigma3), sigma_numeric(F)):
             assert abs(complex(exact) - numeric) <= 1e-9 * max(1.0, abs(numeric))
+
+
+def test_milnor_matches_dmp_resultant_oracle():
+    rng = random.Random(1818)
+    maps = [random_lift(rng, 2, coeff_bound=rng.choice([3, 10, 1000, 10**12])) for _ in range(500)]
+    # the Milnor-chart maps of the CLI digest panel: z^2 + z, z + 1/z, 10^400 z^2 + 1
+    maps += [lift([1, 1, 0], [0, 0, 1]), lift([1, 0, 1], [0, 1, 0]), lift([10**400, 0, 1], [0, 0, 1])]
+    for F in maps:
+        inv = milnor_invariants(F)
+        assert (inv.sigma1, inv.sigma2, inv.sigma3) == milnor_sigmas_by_dmp_resultant(F), F
 
 
 @settings(max_examples=50, deadline=None)

@@ -3,6 +3,7 @@ import random
 from fractions import Fraction
 
 import pytest
+from sympy import nextprime, prevprime
 
 from dynheights import (
     Mobius,
@@ -23,7 +24,12 @@ from dynheights.reduction import (
 )
 
 from conftest import lift, random_lift
-from oracles import full_scan_descent, mobius_arch_best_ratio, mobius_arch_family
+from oracles import (
+    full_scan_descent,
+    hole_moves_by_gf_factor,
+    mobius_arch_best_ratio,
+    mobius_arch_family,
+)
 
 # Fixed regression family: every map has ord_start <= 4 at each tested prime,
 # so the radius-4 oracle ball provably contains the vertex minimum.
@@ -203,6 +209,55 @@ def test_hole_moves_hold_every_neighbour_that_does_not_rise():
             o = ord_res_at(F, p, mv.compose(phi))
             if mv.rows() not in holes:
                 assert o >= current + d * d - d, (F, p, phi, mv)
+
+
+def _form_with_roots(rng, d, roots, p, bound):
+    """Integer coefficients (descending) of prod (x - r) times random factors
+    of degree d - len(roots), plus p times random noise."""
+    f = [1]
+    for r in roots:
+        f = [a - r * b for a, b in zip(f + [0], [0] + f)]
+    while len(f) < d + 1:
+        c = rng.randint(-bound, bound) if rng.random() < 0.5 else rng.randrange(p)
+        lead = rng.randint(1, 5)
+        f = [lead * a + c * b for a, b in zip(f + [0], [0] + f)]
+    return [c + p * rng.randint(-3, 3) for c in f]
+
+
+def test_hole_moves_match_gf_factor_oracle():
+    rng = random.Random(18018)
+    seen = {"p=2": 0, "p=3": 0, "P=0 mod p": 0, "x^d vanishes": 0, "2+ roots": 0, "p>1e9": 0}
+    cases = 0
+    while cases < 2000:
+        d = rng.choice([2, 3, 4])
+        p = rng.choice([2, 3, 5, 7, 11, nextprime(rng.randrange(12, 300)),
+                        nextprime(rng.randrange(10**5, 10**6)), prevprime(rng.randrange(10**9, 10**10))])
+        k = rng.randint(0, d)
+        roots = [rng.randrange(p) for _ in range(k)]
+        P = _form_with_roots(rng, d, roots, p, 20)
+        Q = _form_with_roots(rng, d, roots, p, 20)
+        mode = rng.random()
+        if mode < 0.1:
+            P = [p * rng.randint(-9, 9) for _ in P]
+        elif mode < 0.25:
+            P[0], Q[0] = p * rng.randint(-3, 3), p * rng.randint(-3, 3)
+        try:
+            G = lift(P, Q)
+        except Exception:  # a zero form or Res = 0
+            continue
+        got = hole_moves(G, p)
+        # the descent ranks the moves by a total key, so only the set matters
+        want = hole_moves_by_gf_factor(G, p)
+        assert sorted(m.rows() for m in got) == sorted(m.rows() for m in want), (G, p)
+        assert len(got) == len(want) <= d
+        cases += 1
+        seen["p=2"] += p == 2
+        seen["p=3"] += p == 3
+        seen["P=0 mod p"] += all(c % p == 0 for c in G.P.coeffs)
+        seen["x^d vanishes"] += G.P.coeffs[-1] % p == 0 and G.Q.coeffs[-1] % p == 0
+        seen["2+ roots"] += sum(m.c == 0 and m.d == p for m in got) >= 2
+        seen["p>1e9"] += p > 10**9
+    assert min(seen.values()) >= 50, seen
 
 
 def test_hole_descent_equals_full_scan_descent():
