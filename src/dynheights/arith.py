@@ -3,9 +3,11 @@
 Everything here is deterministic and allocation-light: valuations by
 exponential lifting (so valuations of million-bit integers stay cheap),
 fraction-free Bareiss determinants over the integers, primality by a table
-below 2^16 and strong Miller-Rabin to the 13 prime bases 2..41 above, which
-decides every n < 3,317,044,064,679,887,385,961,981 (Sorenson-Webster,
-Math. Comp. 2017), and factorization by trial division by the primes below
+below 2^16 and strong Miller-Rabin above, to the first k prime bases where
+they are proven to decide n (from 2, 3, 5, 7 below 3,215,031,751 up to the
+13 bases 2..41 below 3,317,044,064,679,887,385,961,981; Jaeschke, Math.
+Comp. 1993; Jiang-Deng, Math. Comp. 2014; Sorenson-Webster, Math. Comp.
+2017), and factorization by trial division by the primes below
 2^16 (a cofactor left below 2^32 is prime).  sympy is imported only for
 what these cannot settle: ``isprime`` above that bound and ``factorint``
 on a composite cofactor.
@@ -22,7 +24,18 @@ ORD_INFINITY = float("inf")
 
 _SIEVE_LIMIT = 1 << 16
 _MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
-_MR_BOUND = 3317044064679887385961981
+#: (B, k): strong Miller-Rabin to the first k prime bases decides every n < B;
+#: B is the smallest strong pseudoprime to those bases (OEIS A014233)
+_MR_TIERS = (
+    (3_215_031_751, 4),
+    (2_152_302_898_747, 5),
+    (3_474_749_660_383, 6),
+    (341_550_071_728_321, 7),
+    (3_825_123_056_546_413_051, 9),
+    (318_665_857_834_031_151_167_461, 12),
+    (3_317_044_064_679_887_385_961_981, 13),
+)
+_MR_BOUND = _MR_TIERS[-1][0]
 _PRIMES: list = []  # the primes below _SIEVE_LIMIT, listed on first use
 #: byte n is 1 exactly when n < _SIEVE_LIMIT is prime (odd-only Eratosthenes)
 _SIEVE = bytearray(b"\x01") * _SIEVE_LIMIT
@@ -123,9 +136,10 @@ def is_prime(n: int) -> bool:
     if n >= _MR_BOUND:
         from sympy import isprime
         return bool(isprime(n))
+    k = next(k for bound, k in _MR_TIERS if n < bound)
     s = ((n - 1) & (1 - n)).bit_length() - 1  # n - 1 = d 2^s with d odd
     d = (n - 1) >> s
-    for a in _MR_BASES:
+    for a in _MR_BASES[:k]:
         x = pow(a, d, n)
         if x == 1 or x == n - 1:
             continue

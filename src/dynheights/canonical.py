@@ -8,17 +8,23 @@ lift is exactly zero, so skipping those places is exact, not an
 approximation.  The defining limit d^-n h(f^n x) is kept as an independent
 test oracle only; the place decomposition carries a certified geometric
 error instead of exponentially growing coefficients.
+
+Pairwise Green energies split the same way, one closed-form sum per place
+(``place_energies``): the wedges of all pairs enter through their exact
+product, and the places of good reduction through one certified log.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import reduce
+from operator import add
 
-from .arith import prime_factors_abs
-from .certified import CertifiedValue
+from .arith import ord_int
+from .certified import CertifiedValue, log_abs_certified, log_rational_multiple
 from .errors import InputError
-from .local_heights import LocalHeights, green_pairing_from_heights, step_error_constants
+from .local_heights import LocalHeights, step_error_constants
 from .maps_core import HomogeneousLift, Place, ProjPoint, apply_map
 
 DEFAULT_ITERS = 30
@@ -72,11 +78,8 @@ def canonical_height(
 
 def canonical_height_from_heights(F: HomogeneousLift, x: ProjPoint, height) -> HeightBreakdown:
     """The place sum of ``canonical_height``, with height(x, v) = H_v(x)."""
-    places = [Place.archimedean()] + [Place.finite(p) for p in F.resultant_primes]
-    rows = [(v, height(x, v)) for v in places]
-    total = rows[0][1]
-    for _, cv in rows[1:]:
-        total = total + cv
+    rows = [(v, height(x, v)) for v in F.places]
+    total = reduce(add, [cv for _, cv in rows])
     return HeightBreakdown(point=x, total=total, per_place=tuple(rows))
 
 
@@ -104,15 +107,50 @@ def functional_check(
     return ResidualReport(abs(lhs - rhs), budget, lhs, rhs)
 
 
-def pair_places(F: HomogeneousLift, w: int) -> list:
-    """The places where g_v(x, y) can be nonzero, archimedean first, for the
-    wedge w = x^y of the canonical lifts.
+def wedge_product(pts) -> int:
+    """W = prod over i < j of x_i ^ x_j on the canonical lifts; nonzero
+    exactly when the points are pairwise distinct."""
+    return math.prod(x.wedge(y) for i, x in enumerate(pts) for y in pts[i + 1 :])
 
-    These are the archimedean place, the primes dividing Res(F) and the
-    primes dividing w; every other g_v vanishes exactly.
+
+def place_energy(pts, W: int, v: Place, height) -> CertifiedValue:
+    """E_v = sum over i < j of g_v(x_i, x_j) for distinct pts with wedge
+    product W, in closed form:
+
+        E_v = -log|W|_v + (N - 1) sum_i H_v(x_i) + C(N, 2) r_v,
+
+    r_v = height.resultant_term(v).  At a prime p not dividing Res(F) the
+    canonical coprime lifts have H_p = 0 and r_p = 0 exactly, so E_p is
+    ord_p(W) log p and no local height is read.
     """
-    primes = set(F.resultant_primes) | set(prime_factors_abs(w))
-    return [Place.archimedean()] + [Place.finite(p) for p in sorted(primes)]
+    if v.is_archimedean:
+        wedge_term = -log_abs_certified(W)
+    else:
+        p = v.prime
+        wedge_term = log_rational_multiple(ord_int(W, p), p)  # -log|W|_p
+        if height.F.resultant % p:
+            return wedge_term
+    n = len(pts)
+    heights = height(pts[0], v)
+    for x in pts[1:]:
+        heights = heights + height(x, v)
+    rest = heights.mul_int(n - 1) + height.resultant_term(v).mul_int(n * (n - 1) // 2)
+    return wedge_term + rest
+
+
+def place_energies(F: HomogeneousLift, pts, height) -> tuple:
+    """(((v, E_v) for v in F.places), E_good) for distinct pts: the energy
+    sum at infinity and at each prime of Res, and the sum E_good over every
+    other prime.  E_good is log|W'|, W' the wedge product with the primes of
+    Res divided out: one certified log, >= 0, and no wedge is factored.  By
+    the product formula the total is (N - 1) sum_i hhat(x_i).
+    """
+    W = wedge_product(pts)
+    rows = tuple((v, place_energy(pts, W, v, height)) for v in F.places)
+    good = abs(W)
+    for p in F.resultant_primes:
+        good //= p ** ord_int(good, p)
+    return rows, log_abs_certified(good)
 
 
 def pairing_identity_check(
@@ -120,17 +158,16 @@ def pairing_identity_check(
 ) -> ResidualReport:
     """Residual of: sum over places of g_v(x, y) = h(x) + h(y).
 
-    The place sum runs over ``pair_places``; all other places vanish
-    exactly.  The identity is the product formula applied to the wedge and
-    resultant terms of the pairing.  Each local height is computed once.
+    The place sum is ``place_energies`` with N = 2: g_v at infinity and at
+    each prime of Res, plus log|w'| for all other primes.  The identity is
+    the product formula applied to the wedge and resultant terms of the
+    pairing.  Each local height is computed once.
     """
     if x == y:
         raise InputError("pairing identity needs distinct points")
     height = LocalHeights(F, n_iter)
-    w = x.wedge(y)
-    lhs = CertifiedValue.exact_zero()
-    for v in pair_places(F, w):
-        lhs = lhs + green_pairing_from_heights(x, y, w, v, height)
+    rows, good = place_energies(F, [x, y], height)
+    lhs = reduce(add, [cv for _, cv in rows] + [good])
     hx = canonical_height_from_heights(F, x, height).total
     hy = canonical_height_from_heights(F, y, height).total
     rhs = hx + hy

@@ -14,6 +14,14 @@ preperiodic.  A census
 computes each local height H_v(x) once, in one table shared by its rows'
 canonical heights and its energy table.
 
+The energy table is one closed-form sum per place, as Baker's argument
+splits it: at infinity and at each prime of Res, the wedges enter through
+their exact product W, and each point's local height once, with weight
+N - 1; every other prime contributes exactly ord_p(W) log p, so together
+they are one certified log of W with the Res primes divided out, which is
+>= 0.  No wedge is factored, and the total still meets the product formula
+2 (N - 1) sum of hhat.
+
 The census and gap probe report observational data: the uniform constants
 they would be compared against are not effective, so counts are emitted
 next to their s log s context rather than checked against it.
@@ -24,6 +32,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import reduce
+from operator import add
 
 from .arith import ord_fraction, prime_factors_abs
 from .canonical import (
@@ -31,13 +41,15 @@ from .canonical import (
     canonical_height,
     canonical_height_from_heights,
     height_gap_constant,
-    pair_places,
+    place_energies,
+    place_energy,
+    wedge_product,
     weil_height,
 )
 from .certified import CertifiedValue
 from .errors import DuplicatePointsError, InputError
 from .formats import map_hash
-from .local_heights import LocalHeights, green_pairing_from_heights
+from .local_heights import LocalHeights
 from .maps_core import (
     HomogeneousLift,
     Place,
@@ -241,7 +253,12 @@ class CensusRow:
 
 @dataclass(frozen=True)
 class EnergyReport:
-    """Pairwise Green energy of a point set, both pair conventions."""
+    """Pairwise Green energy of a point set, both pair conventions.
+
+    For the place "all", per_place splits the ordered sum by place: infinity
+    and each prime of Res (in ``resultant_primes`` order), then
+    "good_places", the sum over every other prime, which is >= 0.
+    """
 
     place: str
     n_points: int
@@ -251,7 +268,8 @@ class EnergyReport:
     identity_expected: float | None = None
     identity_residual: float | None = None
     identity_budget: float | None = None
-    terms: int = 0  # (pair, place) pairing terms summed; a work counter, not output
+    per_place: tuple = ()  # (("inf" | p | "good_places", ordered sum), ...) for "all"
+    terms: int = 0  # per-place sums formed; a work counter, not output
 
     def to_json_dict(self) -> dict:
         out = {
@@ -265,6 +283,8 @@ class EnergyReport:
             out["identity_expected_ordered"] = self.identity_expected
             out["identity_residual"] = self.identity_residual
             out["identity_budget"] = self.identity_budget
+        if self.per_place:
+            out["per_place"] = [[label, cv.to_json_dict()] for label, cv in self.per_place]
         return out
 
 
@@ -461,9 +481,10 @@ def energy_sum(
     ordered = sum over i != j, unordered = sum over i < j (the pairing is
     symmetric, so ordered = 2 * unordered).  With v = "all" the ordered
     total is additionally compared against 2 (N-1) * sum of canonical
-    heights, which it must match within the accumulated error.  Each local
-    height H_v(x) is computed once per call and shared by every pair term
-    and canonical height that uses it.
+    heights, which it must match within the accumulated error, and split
+    by place in ``per_place``.  Each sum is taken per place, not per pair:
+    the wedges enter through their exact product, and each local height
+    H_v(x) is computed once per call.
     """
     pts = list(points)
     if len(pts) < 2:
@@ -475,38 +496,40 @@ def energy_sum(
 
 def _energy_from_heights(F: HomogeneousLift, pts: list, v, height) -> EnergyReport:
     """The sums of ``energy_sum`` over distinct pts, with the ``LocalHeights``
-    memo height; each pair's wedge and places are taken once."""
-    all_places = v == "all"
-    unordered = CertifiedValue.exact_zero()
-    terms = 0
-    for i, x in enumerate(pts):
-        for y in pts[i + 1 :]:
-            w = x.wedge(y)
-            places = pair_places(F, w) if all_places else (v,)
-            for place in places:
-                unordered = unordered + green_pairing_from_heights(x, y, w, place, height)
-            terms += len(places)
-    ordered = unordered.scale(2.0)
+    memo height, one closed-form sum per place (``canonical.place_energy``).
+
+    For v = "all" the places are infinity and the primes of Res, each with
+    its own sum, and every other prime together in one certified log
+    (``canonical.place_energies``); their total is the unordered sum.
+    """
     n = len(pts)
-    report_kwargs = {}
-    if all_places:
-        total_h = CertifiedValue.exact_zero()
-        for x in pts:
-            total_h = total_h + canonical_height_from_heights(F, x, height).total
-        expected = 2.0 * (n - 1) * total_h.value
-        report_kwargs = {
-            "identity_expected": expected,
-            "identity_residual": abs(ordered.value - expected),
-            "identity_budget": ordered.err + 2.0 * (n - 1) * total_h.err,
-        }
+    if v != "all":
+        unordered = place_energy(pts, wedge_product(pts), v, height)
+        return EnergyReport(
+            place=str(v),
+            n_points=n,
+            ordered=unordered.scale(2.0),
+            unordered=unordered,
+            n_log_n=n * math.log(n),
+            terms=1,
+        )
+    rows, good = place_energies(F, pts, height)
+    per_place = tuple((str(place), cv) for place, cv in rows) + (("good_places", good),)
+    unordered = reduce(add, [cv for _, cv in per_place])
+    ordered = unordered.scale(2.0)
+    total_h = reduce(add, [canonical_height_from_heights(F, x, height).total for x in pts])
+    expected = 2.0 * (n - 1) * total_h.value
     return EnergyReport(
-        place=str(v),
+        place="all",
         n_points=n,
         ordered=ordered,
         unordered=unordered,
         n_log_n=n * math.log(n),
-        terms=terms,
-        **report_kwargs,
+        identity_expected=expected,
+        identity_residual=abs(ordered.value - expected),
+        identity_budget=ordered.err + 2.0 * (n - 1) * total_h.err,
+        per_place=tuple((label, cv.scale(2.0)) for label, cv in per_place),
+        terms=len(per_place),
     )
 
 

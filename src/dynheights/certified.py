@@ -84,6 +84,13 @@ class CertifiedValue(namedtuple("CertifiedValue", ("value", "err", "exact"))):
             return CertifiedValue(v, 0.0, exact=True)
         return CertifiedValue(v, _up(self.err / abs(n) + 2.0 * _EPS * abs(v)))
 
+    def mul_int(self, n: int) -> "CertifiedValue":
+        """Multiply by an integer, charging its rounding to err as ``div_int`` does."""
+        v = self.value * n
+        if self.exact and Fraction(v) == Fraction(self.value) * n:
+            return CertifiedValue(v, 0.0, exact=True)
+        return CertifiedValue(v, _up(_up(self.err * abs(n)) + 2.0 * _EPS * abs(v)))
+
     def widen(self, extra: float) -> "CertifiedValue":
         """Add slack to the error radius (drops the exact flag if extra > 0)."""
         if extra == 0.0:

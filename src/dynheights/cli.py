@@ -19,6 +19,7 @@ from __future__ import annotations
 import argparse
 import contextlib
 import csv
+import functools
 import hashlib
 import io
 import json
@@ -108,7 +109,10 @@ def _finite(text: str) -> float:
     return value
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    """The parser, built once per process: ``parse_args`` fills a fresh
+    namespace on every call, so no option value carries over between calls."""
     parser = argparse.ArgumentParser(
         prog="dynheights",
         description="Exact resultants, minimal resultants, certified heights and "

@@ -274,6 +274,12 @@ class HomogeneousLift:
         return tuple(sorted(prime_factors_abs(self.resultant)))
 
     @cached_property
+    def places(self) -> tuple:
+        """The archimedean place, then the primes of Res ascending: the
+        places where a coprime point can have a nonzero local height."""
+        return (Place.archimedean(), *map(Place.finite, self.resultant_primes))
+
+    @cached_property
     def cofactor_bound(self) -> int:
         """Exact integer A' with sup_{||z||<=1} |g(z)| <= A' for all four cofactor forms.
 

@@ -15,10 +15,11 @@ iterates exact Fractions, where the library reads valuations off a residue
 orbit; the per-form residue orbit evaluates P and Q one at a time and takes
 each valuation by repeated division, where the library runs one Horner pass
 for both forms and one gcd with p^r.  The pairing oracle recomputes the
-wedge and the resultant term for every (pair, place) term, where the energy
-table computes each once per pair and once per place.  The F_p-root and
-Milnor oracles are the sympy paths the library used before it had its own:
-``gf_gcd``/``gf_factor`` over F_p, and ``dmp_resultant`` over Z[w].
+wedge and the resultant term for every (pair, place) term, over the places
+found by factoring each wedge, where the energy table takes one closed-form
+sum per place from the product of the wedges and factors no wedge.  The
+F_p-root and Milnor oracles are the sympy paths the library used before it
+had its own: ``gf_gcd``/``gf_factor`` over F_p, and ``dmp_resultant`` over Z[w].
 """
 
 from __future__ import annotations
@@ -369,13 +370,14 @@ def green_pairing_by_formula(F, x, y, v, height):
 
 
 def energy_by_formula(F, pts, v, n_iter: int):
-    """Unordered energy sum over i < j of distinct pts at the place v, or over
-    all places for v = "all", folded pair by pair with
-    ``green_pairing_by_formula``.
+    """Unordered energy sum over i < j of distinct pts at the place v, over
+    all places for v = "all", or over the primes of good reduction for
+    v = "good", folded pair by pair with ``green_pairing_by_formula``.
 
     For "all" the places of a pair are infinity and the primes of Res and of
-    the wedge, ascending, from sympy's factorint; each local height comes
-    from ``hom_local_height`` on the canonical lift.
+    the wedge, ascending; for "good" the primes of the wedge that do not
+    divide Res; both from sympy's factorint.  Each local height comes from
+    ``hom_local_height`` on the canonical lift.
     """
     heights = {}
 
@@ -384,13 +386,18 @@ def energy_by_formula(F, pts, v, n_iter: int):
             heights[x, place] = hom_local_height(F, x.lift(), place, n_iter)
         return heights[x, place]
 
+    res_primes = set(factorint(abs(F.resultant)))
     total = CertifiedValue.exact_zero()
     for i, x in enumerate(pts):
         for y in pts[i + 1 :]:
             places = [v]
-            if v == "all":
-                primes = set(factorint(abs(F.resultant))) | set(factorint(abs(x.wedge(y))))
-                places = [Place.archimedean()] + [Place.finite(p) for p in sorted(primes)]
+            if v in ("all", "good"):
+                wedge_primes = set(factorint(abs(x.wedge(y))))
+                if v == "all":
+                    primes, places = res_primes | wedge_primes, [Place.archimedean()]
+                else:
+                    primes, places = wedge_primes - res_primes, []
+                places += [Place.finite(p) for p in sorted(primes)]
             for place in places:
                 total = total + green_pairing_by_formula(F, x, y, place, height)
     return total

@@ -102,6 +102,24 @@ def test_is_prime_rejects_strong_pseudoprimes_and_carmichael_numbers():
     assert is_prime(8149259477) and is_prime(2**61 - 1)
 
 
+def test_is_prime_base_tiers_reject_their_bounds():
+    from sympy import prevprime
+    from sympy.ntheory.primetest import mr
+
+    from dynheights.arith import _MR_BASES, _MR_TIERS
+
+    for bound, k in _MR_TIERS:
+        # the bound is a strong pseudoprime to the tier's own bases, so the
+        # next tier's bases must be the ones that reject it
+        assert mr(bound, _MR_BASES[:k]) and not isprime(bound), bound
+        assert not is_prime(bound), bound
+        assert is_prime(prevprime(bound)), bound
+    rng = random.Random(20)
+    for _ in range(10**5):
+        n = rng.randrange(2**16, 10**12 + 1)
+        assert is_prime(n) == isprime(n), n
+
+
 def _factor_cases(rng, count):
     """Seeded integers up to about 10^30 whose sympy factorization is quick."""
     small = list(primerange(2, 1000))
@@ -239,6 +257,17 @@ def test_div_int():
     assert cv.value == pytest.approx(1 / 3)
     assert cv.err >= 1e-12 / 3
     assert CertifiedValue.exact_zero().div_int(6).exact
+
+
+def test_mul_int():
+    cv = CertifiedValue(1 / 3, 1e-12).mul_int(1770)
+    assert cv.value == 1770 * (1 / 3)
+    assert cv.err >= 1770 * 1e-12 + abs(Fraction(cv.value) - 1770 * Fraction(1 / 3))
+    assert not cv.exact
+    assert CertifiedValue.exact_zero().mul_int(6) == CertifiedValue.exact_zero()
+    assert CertifiedValue.exact_float(0.75).mul_int(-12) == CertifiedValue.exact_float(-9.0)
+    inexact = CertifiedValue.exact_float(0.1).mul_int(3)  # 3 * 0.1 rounds
+    assert not inexact.exact and inexact.err >= abs(Fraction(inexact.value) - 3 * Fraction(0.1))
 
 
 # ---------------------------------------------------------------------------

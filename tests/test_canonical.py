@@ -20,7 +20,7 @@ from dynheights import (
 )
 
 from conftest import random_lift, random_point
-from oracles import hhat_limit
+from oracles import energy_by_formula, hhat_limit
 
 INF = Place.archimedean()
 
@@ -182,6 +182,20 @@ def test_pairing_identity_z2m1_with_limit_oracle(z2_minus_1):
         assert r.residual <= r.budget + 1e-12
         oracle = hhat_limit(z2_minus_1, x, 13) + hhat_limit(z2_minus_1, y, 13)
         assert abs(r.lhs - oracle) <= 2 * gap / 2**13 + 1e-6
+
+
+def test_pairing_identity_lhs_matches_the_factored_place_sum():
+    # the closed form at N = 2 against the fold of g_v over infinity and the
+    # primes of Res and of the wedge, found by factoring
+    rng = random.Random(20)
+    for _ in range(40):
+        F = random_lift(rng, rng.choice([2, 3]), coeff_bound=9)
+        x, y = random_point(rng, 30), random_point(rng, 30)
+        if x == y:
+            continue
+        r = pairing_identity_check(F, x, y, 12)
+        oracle = energy_by_formula(F, [x, y], "all", 12)
+        assert abs(r.lhs - oracle.value) <= r.budget + oracle.err, (F, x, y)
 
 
 @pytest.mark.parametrize("d", [2, 3])

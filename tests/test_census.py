@@ -1,10 +1,12 @@
 import math
 import random
 
+import mpmath
 import pytest
 
 import dynheights.local_heights as lh
 from dynheights import (
+    CertifiedValue,
     DuplicatePointsError,
     InputError,
     Mobius,
@@ -234,30 +236,122 @@ def test_energy_rejects_duplicates_and_singletons(monomial):
         energy_sum(monomial, [ProjPoint(2, 1)], "all")
 
 
-def _bits(cv):
-    return cv.value.hex(), cv.err.hex(), cv.exact
+def _within(new, oracle):
+    """The two certified values overlap: |new - oracle| <= new.err + oracle.err."""
+    return abs(new.value - oracle.value) <= new.err + oracle.err
 
 
-def test_energy_table_matches_per_pair_oracle():
+def _oracle_panel():
+    """(F, pts, p, q) on 30 seeded maps, d = 2-4: [0:1]^[p:1] = -p shares a
+    Res prime, [0:1]^[q:1] = -q is a wedge prime of good reduction."""
     rng = random.Random(14)
-    maps = 0
-    while maps < 30:
-        F = random_lift(rng, 2 + maps % 3, coeff_bound=6)
+    panel = []
+    while len(panel) < 30:
+        F = random_lift(rng, 2 + len(panel) % 3, coeff_bound=6)
         if not F.resultant_primes:
             continue
-        maps += 1
         p = F.resultant_primes[0]
         q = next(r for r in (2, 3, 5, 7, 11, 13, 17, 19, 23, 29) if F.resultant % r)
-        # [0:1]^[p:1] = -p shares a Res prime; [0:1]^[q:1] = -q is a wedge
-        # prime of good reduction
         pts = [ProjPoint(0, 1), ProjPoint(p, 1), ProjPoint(q, 1)]
         while len(pts) < 7:
             x = ProjPoint(rng.randint(-6, 6), rng.randint(0, 6) or 1)
             if x not in pts:
                 pts.append(x)
+        panel.append((F, pts, p, q))
+    return panel
+
+
+def test_energy_table_matches_per_pair_oracle():
+    # the closed form regroups the oracle's float additions: the two agree
+    # within their radii, and the closed form's radius is no wider
+    for F, pts, p, q in _oracle_panel():
         for v in ("all", Place.archimedean(), Place.finite(p), Place.finite(q)):
-            rep = energy_sum(F, pts, v, n_iter=12)
-            assert _bits(rep.unordered) == _bits(energy_by_formula(F, pts, v, 12)), (F, v)
+            new = energy_sum(F, pts, v, n_iter=12).unordered
+            oracle = energy_by_formula(F, pts, v, 12)
+            assert _within(new, oracle), (F, v)
+            assert new.err <= (1 + 1e-6) * oracle.err, (F, v)
+
+
+def test_energy_per_place_entries_match_the_oracle():
+    for F, pts, _, _ in _oracle_panel():
+        rep = energy_sum(F, pts, "all", n_iter=12)
+        labels = [label for label, _ in rep.per_place]
+        assert labels == ["inf", *map(str, F.resultant_primes), "good_places"]
+        per_place = dict(rep.per_place)
+        for v in F.places:
+            oracle = energy_by_formula(F, pts, v, 12).scale(2.0)
+            assert _within(per_place[str(v)], oracle), (F, v)
+        good = per_place["good_places"]
+        assert good.value >= -good.err
+        assert _within(good, energy_by_formula(F, pts, "good", 12).scale(2.0)), F
+        total = CertifiedValue.exact_zero()
+        for _, cv in rep.per_place:
+            total = total + cv
+        assert _within(total, rep.ordered)
+        assert rep.identity_residual <= rep.identity_budget
+        assert rep.to_json_dict()["per_place"] == [
+            [label, cv.to_json_dict()] for label, cv in rep.per_place
+        ]
+
+
+def test_energy_single_good_place_is_an_exact_zero():
+    # Res = -4725 = -3^3 5^2 7 and W = -2: 11 divides neither
+    F = lift([9, 5, -7], [6, -5, -8])
+    pts = [ProjPoint(0, 1), ProjPoint(1, 1), ProjPoint(2, 1), ProjPoint(1, 0)]
+    rep = energy_sum(F, pts, Place.finite(11))
+    assert rep.unordered == CertifiedValue.exact_zero()
+    assert rep.ordered == CertifiedValue.exact_zero()
+    assert "per_place" not in rep.to_json_dict()
+
+
+def test_energy_sixty_large_points_against_the_oracle():
+    # coordinates up to 10^30: W is a product of 1,770 wedges of about 60
+    # digits; the good-place sum is checked against 60-digit logs of each
+    # wedge with the Res primes divided out, not by factoring the wedges
+    rng = random.Random(60)
+    F = random_lift(rng, 2, coeff_bound=9)
+    while len(F.resultant_primes) < 2:
+        F = random_lift(rng, 2, coeff_bound=9)
+    pts = []
+    while len(pts) < 60:
+        x = ProjPoint(rng.randint(-10**30, 10**30), rng.randint(1, 10**30))
+        if x not in pts:
+            pts.append(x)
+    rep = energy_sum(F, pts, "all", n_iter=12)
+    per_place = dict(rep.per_place)
+    for v in F.places:
+        assert _within(per_place[str(v)], energy_by_formula(F, pts, v, 12).scale(2.0)), v
+    with mpmath.workdps(60):
+        good = mpmath.mpf(0)
+        for i, x in enumerate(pts):
+            for y in pts[i + 1 :]:
+                w = abs(x.wedge(y))
+                for p in F.resultant_primes:
+                    while w % p == 0:
+                        w //= p
+                good += mpmath.log(w)
+        expected = float(2 * good)
+    assert abs(per_place["good_places"].value - expected) <= per_place["good_places"].err
+    assert rep.identity_residual <= rep.identity_budget
+
+
+def test_full_energy_table_factors_only_the_resultant(monkeypatch):
+    import dynheights.arith as arith
+    import dynheights.maps_core as maps_core
+
+    calls = []
+    inner = arith.prime_factors_abs
+
+    def counting(n):
+        calls.append(n)
+        return inner(n)
+
+    for module in (arith, maps_core):
+        monkeypatch.setattr(module, "prime_factors_abs", counting)
+    F = lift([6, 0, 1], [0, 0, 6])  # z^2 + 1/6: 72 counted points, a full table
+    rep = small_height_census(F, 30, 2.0)
+    assert rep.energy.n_points == 60
+    assert len(calls) <= 1
 
 
 # ---------------------------------------------------------------------------

@@ -8,7 +8,6 @@ import sys
 import time
 
 import pytest
-from sympy import factorint
 
 from dynheights import HomogeneousLift, milnor_invariants, sylvester_resultant
 
@@ -567,7 +566,9 @@ def _run_in_process(argv):
 #: every lift was made canonical on construction, the census-cap ones before
 #: the census became a single scan, the 3z4 ones before the escape test moved
 #: onto the local-height orbits, the last five before the Milnor cubic came
-#: from one resultant in the multiplier variable
+#: from one resultant in the multiplier variable.  The ten energy and census
+#: JSON digests (not the CSV ones) were re-recorded when the energy table
+#: became one closed-form sum per place with a per_place split
 PINNED_DIGESTS = {
     "z2m1/resultant": (0, "811ec1753d4fb38ff572ecc90df1450a943644c18eb94ea49321e0a028114f25"),
     "z2m1/badplaces": (0, "fe216fd668d598b136827f8cc6d34f21e18ad4489ec0a61ff9b9153f80307b3f"),
@@ -575,8 +576,8 @@ PINNED_DIGESTS = {
     "z2m1/height": (0, "2eb2fdd0a5dfb37f7f66d9129c3f491c83c405e51df540eff1c235fbb039fe67"),
     "z2m1/green-inf": (0, "2eca084d02f8eaec730649efc075969c9d404f52cc597be95303e9fbd5e26f64"),
     "z2m1/green-p": (0, "dd0aa7acb1127ae07b1f8bdfae8408815e521c8e229136b0720db306aa359b33"),
-    "z2m1/energy": (0, "be62dc2628a8e2662482f92dc26295d39b469047bc6a1fca919d4eb63e8b7688"),
-    "z2m1/census": (0, "112f8f77804fa883ef757c0b189bfcda8c92b2df2c51cd5dffd8a07752cab170"),
+    "z2m1/energy": (0, "87930127b3c3195bd3eefd53004996f403dce93dc098c6d2c7cd1488d7333e7a"),
+    "z2m1/census": (0, "22004328c6375345fd12195e87c6ee6f153c30913cbff253147044a111ec5e4a"),
     "z2m1/census-csv": (0, "8141bcf6faac05e8957d0536bf07ca8555d3cb8900b8c57f92e7df8eb4c34443"),
     "z2m1/gap": (0, "145f6407246e01ce100b4e62bde2201d636504810e1fc0f5611fc02e2b985927"),
     "z2m1/milnor": (0, "7515223018190ffffe0a50bf125b631c5e9be5529f0c01374a846a09277b785c"),
@@ -587,8 +588,8 @@ PINNED_DIGESTS = {
     "3z2/height": (0, "2ba3798aaebb681916379f0a7880a2ec7441ac60462d313177541fcd315e5156"),
     "3z2/green-inf": (0, "73e5342774867f51a05802b6e2c73fb8de449b89cb6241a270756834d499b842"),
     "3z2/green-p": (0, "c65c5d00f52a557af4d632d15af2586ce71bc309e96d3e2890fddb1cba7b8897"),
-    "3z2/energy": (0, "9429e0b39d87cffe2f9dfca84eee811e6ddb56c10df298f2088d03226fba6f2a"),
-    "3z2/census": (0, "75f80945ce6a0f0cec1ee201878d9b6b35c8017d4014f2c22aab93bddf447973"),
+    "3z2/energy": (0, "6c4a38d703b92c8144770ddbaadb103658a625c0eecdd2a2e7d79d82c8cc6901"),
+    "3z2/census": (0, "470a7117b00378e806d81ae5e86d9b540d23b31c63962a9b51e17f5e12c98e77"),
     "3z2/census-csv": (0, "69d8e3c3840e3331009a4ee76317fbcd29777dcbc871b876b27b949ed9a944f4"),
     "3z2/gap": (0, "883185b5d83599a0a7c824cb4e693872585bdb95b45877bcb3899840eb0a94dd"),
     "3z2/milnor": (0, "d4fdf3c954ff617eefc0b5b53164b1cbbcbd25aaaf6ad141c081331ad17fc4ee"),
@@ -599,8 +600,8 @@ PINNED_DIGESTS = {
     "sixth/height": (0, "34c6f5ed20bca47190310607f97dcf928b3344b1d30296ea8f11fe19fed7bf51"),
     "sixth/green-inf": (0, "47d78e57734a1ec9c0276ab35c9530db0e24e3cb7db082601674c8d05afd6e66"),
     "sixth/green-p": (0, "502dad89d0302917649e6ddadfbb3a96c34ad50e18244e9e795845e120668a5d"),
-    "sixth/energy": (0, "9301588a4794c0b3a456bf49957410b41112cea45993ae4d339ba25f78206e9a"),
-    "sixth/census": (0, "be68f8ca8a0ece8ada839232bb21f4e952a3364c313000c44497534121c793dd"),
+    "sixth/energy": (0, "a36828419f3aff62ee0261500e85a8345e349ecdaf17dedcfd1af2a4c3d9405a"),
+    "sixth/census": (0, "b7b0089f5f4e7104b527a9cb2b8dc52acff302115f25dcedd7862b700c2b1d7f"),
     "sixth/census-csv": (0, "4a130bbee5e1c5863fb68e92961bf9df288f6e06073169cc91ac6cd899e9a8e0"),
     "sixth/gap": (0, "2b1702d9755996744cba606a16ab5e1bbf54f3b5361ab5fadcf6693cfc9271fb"),
     "sixth/milnor": (0, "4f4286e83879747a973c6189eb34880d1023954e9f40ab7bcfe953ebe35a8ee6"),
@@ -618,10 +619,10 @@ PINNED_DIGESTS = {
     "noncanon/resultant": (0, "36b358adcd86300d1431ed4f544a10273f18e91b282b97b4612371ca3afa0aea"),
     "noncanon/badplaces": (0, "68b2c959d13af94e26d3efa4eb9086915876531064abd6bdbbf9404e7788deea"),
     "noncanon/height": (0, "b34ec14f5dfef37c45bad2d66da777aa79d45767f69059e4cc9c7e730b552082"),
-    "noncanon/census": (0, "ba17f584b31638996cc3d8048d98b99cd545699cf5b81333582e1b8c7c42d89e"),
-    "z2m1/census-cap": (0, "c699396ae81be5169b4c53126bb3aeba678dbb9b54d3e44121a4c35d2ba3e6dd"),
+    "noncanon/census": (0, "12f2edafb7d530c4c25ce1bd47b11d16b114f8cb3a47811196a2cda965d8337a"),
+    "z2m1/census-cap": (0, "7e331a750e43005b45e3673929c71bc62e928ec861eec3e0175e709d253e5cf8"),
     "z2m1/census-cap-csv": (0, "8141bcf6faac05e8957d0536bf07ca8555d3cb8900b8c57f92e7df8eb4c34443"),
-    "sixth/census-cap": (0, "1d9ab0603fb0ca9aa36f8d15ea9a4266227f05c27a10fa0e320c266fb41f1e11"),
+    "sixth/census-cap": (0, "909a7cc56c0b85bda4773c78acbe154af1c9d6649d364bf03f3aca47a4252729"),
     "sixth/census-cap-csv": (0, "ca2d22cae547e7fef156253d41054e0c5740d1b739776dbc21bfa0cb292ea6ba"),
     "3z4/escape-3": (0, "a717bc401e3bc59ea97dfee55817908575888053626df857a1e325326fa9e16e"),
     "3z4/escape-inf": (0, "8a2d7f62909e4f0f97a1d206694bec874cb44e437cfe4a4ba148af7a5dbf218d"),
@@ -629,7 +630,7 @@ PINNED_DIGESTS = {
     "z2pz/milnor": (0, "1324aaac24e66c7b6555569a81e94b6a3568b7005daa871d2a7710e2445d8dfc"),
     "zpinv/milnor": (0, "265ed221780a1c486d476959c79fe7c1bd0395ecb412f381fcc07e2bf949c571"),
     "huge/milnor": (0, "7ff5b013fcb2f2442456cdb1634f368e5d25e963c3f557345285acdf083e6fa8"),
-    "z2pz/census": (0, "3d624b9783ce3359c68a30801fb5285b0d07b03dd4c16f40137e5a09d232e809"),
+    "z2pz/census": (0, "4d3a454e9b2db169f4687deb05b3e372e38dbecbdf089088dde34b84936bef66"),
     "compare-parabolic": (0, "407c8500b7a5692e2b68480a659faaec0d273362a9591469e12dae31fc767e54"),
 }
 
@@ -637,6 +638,28 @@ PINNED_DIGESTS = {
 def test_stdout_digests_pinned(map_file):
     got = {label: _run_in_process(argv) for label, argv in _digest_panel(map_file)}
     assert got == PINNED_DIGESTS
+
+
+def test_main_reuses_one_parser_without_leaking_options(map_file):
+    from dynheights import cli
+
+    panel = dict(_digest_panel(map_file))
+    # each call follows one whose options differ: --format csv, three and
+    # then three other --map files, --steps 12, an explicit --bound
+    order = [
+        "sixth/census-csv", "sixth/census", "compare", "compare-parabolic", "z2m1/energy",
+        "sixth/escape-3", "sixth/escape-inf", "z2m1/orbit", "3z2/census", "3z2/census-csv",
+    ]
+    for label in order:
+        assert _run_in_process(panel[label]) == PINNED_DIGESTS[label], label
+    assert cli._build_parser() is cli._build_parser()
+    path = map_file(Z2_MINUS_1)
+    _, out, err = _main_in_process(["orbit", "--map", path, "--point", "[1:2]", "--bound", "0.5"])
+    assert json.loads(out)["height_bound"] == 0.5
+    _, out, err = _main_in_process(["orbit", "--map", path, "--point", "[1:2]"])
+    (line,) = [ln for ln in err.splitlines() if ln.startswith("manifest: ")]
+    assert json.loads(line[len("manifest: "):])["budgets"] == {"budget": 10_000, "bound": None}
+    assert hashlib.sha256(out.encode()).hexdigest() == PINNED_DIGESTS["z2m1/orbit"][1]
 
 
 def test_census_manifest_counts_the_energy_table(map_file):
@@ -649,13 +672,11 @@ def test_census_manifest_counts_the_energy_table(map_file):
     (line,) = [ln for ln in err.splitlines() if ln.startswith("manifest: ")]
     manifest = json.loads(line[len("manifest: "):])
     assert manifest["output_digest"] == digest
-    rows = json.loads(out)["points"][:60]  # the energy-table cap
-    pts = [tuple(int(c) for c in row["point"][1:-1].split(":")) for row in rows]
-    terms = 0
-    for i, (a, b) in enumerate(pts):
-        for c, e in pts[i + 1 :]:
-            terms += 1 + len({2, 3} | set(factorint(abs(a * e - b * c))))  # Res = 2^4 3^4
-    assert manifest["stats"] == {"energy_pairs": 60 * 59 // 2, "energy_terms": terms}
+    energy = json.loads(out)["energy"]
+    assert energy["n_points"] == 60  # the energy-table cap
+    # one sum per place: infinity, the primes of Res = 2^4 3^4, the good places
+    assert [label for label, _ in energy["per_place"]] == ["inf", "2", "3", "good_places"]
+    assert manifest["stats"] == {"energy_pairs": 60 * 59 // 2, "energy_terms": 4}
 
 
 #: wire-format maps with 1,501- and 2,501-digit entries: the resultant of the
