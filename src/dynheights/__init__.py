@@ -10,11 +10,8 @@ __version__ = "0.1.0"
 from .canonical import (
     DEFAULT_ITERS,
     HeightBreakdown,
-    ResidualReport,
     canonical_height,
-    functional_check,
     height_gap_constant,
-    pairing_identity_check,
     weil_height,
 )
 from .census import (
@@ -31,7 +28,6 @@ from .census import (
     preperiodic_height_bound,
     preperiodic_points,
     small_height_census,
-    verify_cycle,
 )
 from .certified import CertifiedValue
 from .errors import (
@@ -62,9 +58,7 @@ from .maps_core import (
     ProjPoint,
     apply_map,
     conjugate,
-    evaluate_lift,
     milnor_invariants,
-    normalized_resultant_abs,
     sylvester_resultant,
 )
 from .reduction import (
@@ -103,7 +97,6 @@ __all__ = [
     "OrbitRecord",
     "Place",
     "ProjPoint",
-    "ResidualReport",
     "ResultantHeight",
     "StepErrorConstant",
     "UnsupportedDegreeError",
@@ -115,8 +108,6 @@ __all__ = [
     "energy_sum",
     "enumerate_points",
     "escape_radius",
-    "evaluate_lift",
-    "functional_check",
     "green_pairing",
     "h_res",
     "height_gap_constant",
@@ -125,16 +116,13 @@ __all__ = [
     "milnor_invariants",
     "minimal_resultant_ord",
     "minimal_resultant_oracle",
-    "normalized_resultant_abs",
     "orbit",
     "ord_res_at",
-    "pairing_identity_check",
     "preperiodic_height_bound",
     "preperiodic_points",
     "small_height_census",
     "step_error_constants",
     "sylvester_resultant",
-    "verify_cycle",
     "verify_escape",
     "weil_height",
 ]

@@ -84,14 +84,6 @@ def ord_fraction(x, p: int):
     return ord_int(fr.numerator, p) - ord_int(fr.denominator, p)
 
 
-def abs_p(x, p: int) -> Fraction:
-    """p-adic absolute value |x|_p as an exact Fraction (0 for x = 0)."""
-    if x == 0:
-        return Fraction(0)
-    v = ord_fraction(x, p)
-    return Fraction(1, p**v) if v >= 0 else Fraction(p ** (-v))
-
-
 def content(coeffs) -> int:
     """gcd of a coefficient iterable (0 if all entries vanish)."""
     g = 0

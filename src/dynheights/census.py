@@ -10,9 +10,10 @@ iteration budget ran out.
 The preperiodic listing, the census and the gap probe read one scan of the
 search box: each point's orbit record, in enumeration order.  The listing
 clips its box to the preperiodic height bound, above which nothing is
-preperiodic.  A census
-computes each local height H_v(x) once, in one table shared by its rows'
-canonical heights and its energy table.
+preperiodic.  The census and the gap probe pass one ``LocalHeights`` memo
+per map to ``canonical_height`` (and the census to ``energy_sum``), so each
+local height H_v(x) is computed once, shared by the rows' canonical heights
+and the energy table.
 
 The energy table is one closed-form sum per place, as Baker's argument
 splits it: at infinity and at each prime of Res, the wedges enter through
@@ -35,21 +36,12 @@ from fractions import Fraction
 from functools import reduce
 from operator import add
 
-from .arith import ord_fraction, prime_factors_abs
-from .canonical import (
-    DEFAULT_ITERS,
-    canonical_height,
-    canonical_height_from_heights,
-    height_gap_constant,
-    place_energies,
-    place_energy,
-    wedge_product,
-    weil_height,
-)
-from .certified import CertifiedValue
+from .arith import ord_fraction, ord_int, prime_factors_abs
+from .canonical import canonical_height, height_gap_constant, weil_height
+from .certified import CertifiedValue, log_abs_certified, log_rational_multiple
 from .errors import DuplicatePointsError, InputError
 from .formats import map_hash
-from .local_heights import LocalHeights
+from .local_heights import DEFAULT_ITERS, LocalHeights, heights_memo
 from .maps_core import (
     HomogeneousLift,
     Place,
@@ -141,19 +133,6 @@ def orbit(
             )
         seen[y] = k
     return OrbitRecord(x, "undecided", budget=budget, height_bound=height_bound)
-
-
-def verify_cycle(F: HomogeneousLift, rec: OrbitRecord) -> bool:
-    """Re-verify the exact cycle equation of a preperiodic orbit record."""
-    if rec.status != "preperiodic":
-        return False
-    y = rec.start
-    for _ in range(rec.tail_length):
-        y = apply_map(F, y)
-    z = y
-    for _ in range(rec.cycle_length):
-        z = apply_map(F, z)
-    return z == y
 
 
 # ---------------------------------------------------------------------------
@@ -366,7 +345,7 @@ def small_height_census(
     warnings += [f"orbit budget exhausted at {x}" for x, r in scan if r.status == "undecided"]
     rows = []
     for x, rec in scan:
-        hhat = canonical_height_from_heights(F, x, height).total
+        hhat = canonical_height(F, x, n_iter, heights=height).total
         if hhat.value <= threshold + hhat.err:
             rows.append(
                 CensusRow(
@@ -387,7 +366,7 @@ def small_height_census(
                 f"energy table truncated to the first {_ENERGY_TABLE_CAP} counted points"
             )
             pts = pts[:_ENERGY_TABLE_CAP]
-        energy = _energy_from_heights(F, pts, "all", height)
+        energy = energy_sum(F, pts, "all", n_iter, heights=height)
     return CensusReport(
         map_hash=map_hash(F),
         d=F.d,
@@ -448,8 +427,11 @@ def height_gap_probe(
     scan = _scan(F, search_bound)
     if not scan:
         raise InputError("empty search box")
+    height = LocalHeights(F, n_iter)
     candidates = [
-        (x, canonical_height(F, x, n_iter).total) for x, r in scan if r.status != "preperiodic"
+        (x, canonical_height(F, x, n_iter, heights=height).total)
+        for x, r in scan
+        if r.status != "preperiodic"
     ]
     if not candidates:
         raise InputError("no non-preperiodic point in the search box")
@@ -473,38 +455,60 @@ def height_gap_probe(
 # ---------------------------------------------------------------------------
 
 
+def _place_energy(pts, W: int, v: Place, height) -> CertifiedValue:
+    """E_v = sum over i < j of g_v(x_i, x_j) for distinct pts with wedge
+    product W, in closed form:
+
+        E_v = -log|W|_v + (N - 1) sum_i H_v(x_i) + C(N, 2) r_v,
+
+    r_v = height.resultant_term(v).  At a prime p not dividing Res(F) the
+    canonical coprime lifts have H_p = 0 and r_p = 0 exactly, so E_p is
+    ord_p(W) log p and no local height is read.
+    """
+    if v.is_archimedean:
+        wedge_term = -log_abs_certified(W)
+    else:
+        p = v.prime
+        wedge_term = log_rational_multiple(ord_int(W, p), p)  # -log|W|_p
+        if height.F.resultant % p:
+            return wedge_term
+    n = len(pts)
+    heights = height(pts[0], v)
+    for x in pts[1:]:
+        heights = heights + height(x, v)
+    rest = heights.mul_int(n - 1) + height.resultant_term(v).mul_int(n * (n - 1) // 2)
+    return wedge_term + rest
+
+
 def energy_sum(
-    F: HomogeneousLift, points, v, n_iter: int = DEFAULT_ITERS
+    F: HomogeneousLift,
+    points,
+    v,
+    n_iter: int = DEFAULT_ITERS,
+    *,
+    heights: LocalHeights | None = None,
 ) -> EnergyReport:
     """Pairwise Green energy of distinct points at a place, or over all places.
 
     ordered = sum over i != j, unordered = sum over i < j (the pairing is
-    symmetric, so ordered = 2 * unordered).  With v = "all" the ordered
-    total is additionally compared against 2 (N-1) * sum of canonical
-    heights, which it must match within the accumulated error, and split
-    by place in ``per_place``.  Each sum is taken per place, not per pair:
-    the wedges enter through their exact product, and each local height
-    H_v(x) is computed once per call.
+    symmetric, so ordered = 2 * unordered).  Each sum is one closed form per
+    place (``_place_energy``); with v = "all" the primes outside Res enter
+    together, as one certified log.  The "all" total is split by place in
+    ``per_place`` and compared against 2 (N-1) * sum of canonical heights,
+    which it must match within the accumulated error.  heights is a
+    ``LocalHeights`` memo of F at n_iter, as for ``canonical_height``.
     """
     pts = list(points)
     if len(pts) < 2:
         raise InputError("energy sums need at least two points")
     if len(set(pts)) != len(pts):
         raise DuplicatePointsError("energy sum points must be pairwise distinct")
-    return _energy_from_heights(F, pts, v, LocalHeights(F, n_iter))
-
-
-def _energy_from_heights(F: HomogeneousLift, pts: list, v, height) -> EnergyReport:
-    """The sums of ``energy_sum`` over distinct pts, with the ``LocalHeights``
-    memo height, one closed-form sum per place (``canonical.place_energy``).
-
-    For v = "all" the places are infinity and the primes of Res, each with
-    its own sum, and every other prime together in one certified log
-    (``canonical.place_energies``); their total is the unordered sum.
-    """
+    height = heights_memo(F, n_iter, heights)
     n = len(pts)
+    # the wedge product over i < j: nonzero, as the points are distinct
+    W = math.prod(x.wedge(y) for i, x in enumerate(pts) for y in pts[i + 1 :])
     if v != "all":
-        unordered = place_energy(pts, wedge_product(pts), v, height)
+        unordered = _place_energy(pts, W, v, height)
         return EnergyReport(
             place=str(v),
             n_points=n,
@@ -513,11 +517,15 @@ def _energy_from_heights(F: HomogeneousLift, pts: list, v, height) -> EnergyRepo
             n_log_n=n * math.log(n),
             terms=1,
         )
-    rows, good = place_energies(F, pts, height)
-    per_place = tuple((str(place), cv) for place, cv in rows) + (("good_places", good),)
+    good = abs(W)
+    for p in F.resultant_primes:
+        good //= p ** ord_int(good, p)
+    per_place = tuple(
+        (str(place), _place_energy(pts, W, place, height)) for place in F.places
+    ) + (("good_places", log_abs_certified(good)),)
     unordered = reduce(add, [cv for _, cv in per_place])
     ordered = unordered.scale(2.0)
-    total_h = reduce(add, [canonical_height_from_heights(F, x, height).total for x in pts])
+    total_h = reduce(add, [canonical_height(F, x, n_iter, heights=height).total for x in pts])
     expected = 2.0 * (n - 1) * total_h.value
     return EnergyReport(
         place="all",

@@ -68,19 +68,6 @@ def forms_from_json_dict(obj: dict) -> tuple:
     return BinaryForm(tuple(p_desc[::-1])), BinaryForm(tuple(q_desc[::-1]))
 
 
-def lift_from_json_dict(obj: dict) -> HomogeneousLift:
-    """The canonical lift of a map in the wire format."""
-    return HomogeneousLift(*forms_from_json_dict(obj))
-
-
-def lift_to_json_dict(F: HomogeneousLift) -> dict:
-    return {
-        "d": F.d,
-        "P": [str(c) for c in F.P.descending()],
-        "Q": [str(c) for c in F.Q.descending()],
-    }
-
-
 def load_forms(path: str) -> tuple:
     """The forms (P, Q) of a map file, exactly as given in the file."""
     try:
@@ -118,11 +105,3 @@ def map_hash(F: HomogeneousLift) -> str:
     """Stable short hash of the coefficient vector (manifest and report key)."""
     payload = "|".join(str(c) for c in (F.d,) + F.coefficient_vector())
     return hashlib.sha256(payload.encode()).hexdigest()[:16]
-
-
-def point_from_json_dict(obj: dict) -> ProjPoint:
-    """A point object {"x0": a, "x1": b}, entries as strict as map coefficients."""
-    try:
-        return ProjPoint(_wire_int(obj["x0"], "x0"), _wire_int(obj["x1"], "x1"))
-    except (KeyError, TypeError) as exc:
-        raise InputError(f"malformed point object: {exc}") from exc

@@ -25,6 +25,11 @@ arithmetic: one homogeneous Horner pass evaluates both forms, and the step
 valuation m is read from gcd(w0, w1, p^r) = p^m.  The per-step rescaling is
 compensated exactly through the homogeneity identity
 H(lambda z) = H(z) + log|lambda|_v.
+
+A ``LocalHeights`` memo holds each H_v(x) of one map at one series length;
+``canonical_height`` and ``energy_sum`` take one through ``heights=``
+(checked by ``heights_memo``), and ``green_pairing`` builds its own.  Every
+entry defaults to ``DEFAULT_ITERS`` terms.
 """
 
 from __future__ import annotations
@@ -38,6 +43,8 @@ from .arith import ord_fraction, ord_int
 from .certified import _EPS, CertifiedValue, _up, log_abs_certified, log_rational_multiple
 from .errors import DiagonalPairingError, EscapePreconditionError, InputError
 from .maps_core import HomogeneousLift, Place, ProjPoint
+
+DEFAULT_ITERS = 30
 
 # ---------------------------------------------------------------------------
 # Step error constants and escape radii
@@ -254,7 +261,7 @@ def hom_local_height(F: HomogeneousLift, xt, v: Place, n_iter: int) -> Certified
 
 
 def green_pairing(
-    F: HomogeneousLift, x: ProjPoint, y: ProjPoint, v: Place, n_iter: int = 30
+    F: HomogeneousLift, x: ProjPoint, y: ProjPoint, v: Place, n_iter: int = DEFAULT_ITERS
 ) -> CertifiedValue:
     """g_v(x, y) = -log|x^y|_v + H_v(x) + H_v(y) - log|Res F|_v / (d(d-1)).
 
@@ -264,7 +271,18 @@ def green_pairing(
     """
     if x == y:
         raise DiagonalPairingError(f"green pairing at the diagonal: {x}")
-    return green_pairing_from_heights(x, y, x.wedge(y), v, LocalHeights(F, n_iter))
+    w = x.wedge(y)
+    if v.is_archimedean:
+        total = -log_abs_certified(w)
+    else:
+        p = v.prime
+        if w % p != 0 and F.resultant % p != 0:
+            return CertifiedValue.exact_zero()
+        total = log_rational_multiple(ord_int(w, p), p)  # -log|w|_p
+    height = LocalHeights(F, n_iter)
+    total = total + height(x, v)
+    total = total + height(y, v)
+    return total + height.resultant_term(v)
 
 
 class LocalHeights:
@@ -295,23 +313,13 @@ class LocalHeights:
         return self._res[p]
 
 
-def green_pairing_from_heights(x: ProjPoint, y: ProjPoint, w: int, v: Place, height):
-    """The one formula of ``green_pairing``, for distinct x, y with w = x^y and
-    a ``LocalHeights`` memo: its terms are read only where needed and added
-    in a fixed order, so the bytes never depend on what the memo holds.
-    """
-    if v.is_archimedean:
-        total = -log_abs_certified(w)
-        total = total + height(x, v)
-        total = total + height(y, v)
-        return total + height.resultant_term(v)
-    p = v.prime
-    if w % p != 0 and height.F.resultant % p != 0:
-        return CertifiedValue.exact_zero()
-    total = log_rational_multiple(ord_int(w, p), p)  # -log|w|_p
-    total = total + height(x, v)
-    total = total + height(y, v)
-    return total + height.resultant_term(v)
+def heights_memo(F: HomogeneousLift, n_iter: int, heights: LocalHeights | None) -> LocalHeights:
+    """heights, checked to be a memo of F at n_iter, or a new memo when it is None."""
+    if heights is None:
+        return LocalHeights(F, n_iter)
+    if heights.F != F or heights.n_iter != n_iter:
+        raise InputError("the local-height memo was built for another map or n_iter")
+    return heights
 
 
 # ---------------------------------------------------------------------------

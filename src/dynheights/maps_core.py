@@ -33,7 +33,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 
-from .arith import abs_p, bareiss_det, content, is_prime, prime_factors_abs
+from .arith import bareiss_det, content, is_prime, prime_factors_abs
 from .certified import CertifiedValue, log_abs_certified
 from .errors import (
     DegenerateMapError,
@@ -357,37 +357,6 @@ def sylvester_cofactor_pair(F: HomogeneousLift, target_x: bool) -> tuple:
 # ---------------------------------------------------------------------------
 # Operations
 # ---------------------------------------------------------------------------
-
-
-def resultant_ratio(F: HomogeneousLift) -> Fraction:
-    """|Res(F)| / max|coeff|^(2d) exactly: |Res(f)|_inf before rounding."""
-    return Fraction(abs(F.resultant), F.max_abs_coeff() ** (2 * F.d))
-
-
-def normalized_resultant_abs(F: HomogeneousLift, v: Place):
-    """|Res(f)|_v = |Res(F)|_v / max|coeff|_v^(2d); independent of the lift.
-
-    Res is homogeneous of degree 2d in the 2d+2 coefficients (degree d in
-    each form), so the 2d-th power of the sup norm is the normalizer that
-    cancels under F -> cF.  The canonical lift has content 1, so at a finite
-    place the normalizer is 1 and the value is the exact Fraction
-    |Res(F)|_p.  At the archimedean place it is a CertifiedValue (the ratio
-    is an exact rational, only the float conversion is inexact).
-    """
-    if v.is_archimedean:
-        frac = resultant_ratio(F)
-        value = frac.numerator / frac.denominator
-        approx = Fraction(value)
-        if approx == frac:
-            return CertifiedValue.exact_float(value)
-        return CertifiedValue(value, math.nextafter(abs(float(approx - frac)) * 2, math.inf))
-    return abs_p(F.resultant, v.prime)
-
-
-def evaluate_lift(F: HomogeneousLift, z) -> tuple:
-    """(P(z), Q(z)) exactly, z a pair of rationals."""
-    x, y = Fraction(z[0]), Fraction(z[1])
-    return (F.P.evaluate(x, y), F.Q.evaluate(x, y))
 
 
 def apply_map(F: HomogeneousLift, x: ProjPoint) -> ProjPoint:

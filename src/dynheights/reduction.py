@@ -488,10 +488,10 @@ def _arch_conjugator_family(F: HomogeneousLift) -> list:
 
 
 def _arch_best_ratio(F: HomogeneousLift) -> Fraction:
-    """max over the family of resultant_ratio(conjugate(F, phi)), exactly:
-    |Res F| |det N|^(d^2+d) / max|coeff H|^(2d) for the raw conjugate H of
-    the member's integer matrix N (module docstring), compared by
-    cross-multiplication."""
+    """max over the family of |Res G| / max|coeff G|^(2d), G = conjugate(F, phi),
+    exactly: |Res F| |det N|^(d^2+d) / max|coeff H|^(2d) for the raw
+    conjugate H of the member's integer matrix N (module docstring), compared
+    by cross-multiplication."""
     d = F.d
     best_num, best_den = 0, 1
     for a, b, c, dd, _ in _arch_conjugator_family(F):

@@ -20,11 +20,16 @@ found by factoring each wedge, where the energy table takes one closed-form
 sum per place from the product of the wedges and factors no wedge.  The
 F_p-root and Milnor oracles are the sympy paths the library used before it
 had its own: ``gf_gcd``/``gf_factor`` over F_p, and ``dmp_resultant`` over Z[w].
+Three checks read the library's own outputs against an identity instead:
+``functional_check`` (hhat(f x) = d hhat(x)), ``verify_cycle`` (an orbit
+record's cycle equation, replayed) and ``normalized_resultant_abs`` (|Res|_v
+over the sup norm, which a change of lift must not move).
 """
 
 from __future__ import annotations
 
 import math
+from dataclasses import dataclass
 from fractions import Fraction
 
 import mpmath
@@ -41,12 +46,13 @@ from dynheights import (
     MinResCertificate,
     Mobius,
     Place,
+    apply_map,
+    canonical_height,
     conjugate,
     hom_local_height,
     ord_res_at,
 )
 from dynheights.certified import log_abs_certified, log_rational_multiple
-from dynheights.maps_core import resultant_ratio
 from dynheights.reduction import _ARCH_FAMILY_CAP, _ARCH_FAMILY_RADIUS, neighbor_moves
 
 
@@ -78,6 +84,31 @@ def naive_resultant(p_desc, q_desc):
     for i in range(d):
         rows.append([0] * i + list(q_desc) + [0] * (d - 1 - i))
     return det_cofactor(rows)
+
+
+def resultant_ratio(F) -> Fraction:
+    """|Res(F)| / max|coeff|^(2d) exactly: |Res(f)|_inf before rounding."""
+    return Fraction(abs(F.resultant), F.max_abs_coeff() ** (2 * F.d))
+
+
+def normalized_resultant_abs(F, v: Place):
+    """|Res(f)|_v = |Res(F)|_v / max|coeff|_v^(2d); independent of the lift.
+
+    Res is homogeneous of degree 2d in the 2d+2 coefficients (degree d in
+    each form), so the 2d-th power of the sup norm is the normalizer that
+    cancels under F -> cF.  The canonical lift has content 1, so at a finite
+    place the normalizer is 1 and the value is the exact Fraction
+    |Res(F)|_p.  At the archimedean place it is a CertifiedValue (the ratio
+    is an exact rational, only the float conversion is inexact).
+    """
+    if v.is_archimedean:
+        frac = resultant_ratio(F)
+        value = frac.numerator / frac.denominator
+        approx = Fraction(value)
+        if approx == frac:
+            return CertifiedValue.exact_float(value)
+        return CertifiedValue(value, math.nextafter(abs(float(approx - frac)) * 2, math.inf))
+    return Fraction(1, v.prime ** _ord_int(F.resultant, v.prime))
 
 
 # ---------------------------------------------------------------------------
@@ -225,6 +256,42 @@ def hhat_limit(F, x, n: int) -> float:
     return math.log(max(abs(a), abs(b))) / d**n
 
 
+@dataclass(frozen=True)
+class ResidualReport:
+    """|lhs - rhs| of an identity that must hold up to the error budget."""
+
+    residual: float
+    budget: float
+    lhs: float
+    rhs: float
+
+    def holds(self, slack: float = 0.0) -> bool:
+        return self.residual <= self.budget + slack
+
+
+def functional_check(F, x, n_iter: int = 30) -> ResidualReport:
+    """Residual of the functional equation: canonical height multiplies by d under f."""
+    hx = canonical_height(F, x, n_iter)
+    hfx = canonical_height(F, apply_map(F, x), n_iter)
+    lhs = hfx.total.value
+    rhs = F.d * hx.total.value
+    budget = hfx.total.err + F.d * hx.total.err
+    return ResidualReport(abs(lhs - rhs), budget, lhs, rhs)
+
+
+def verify_cycle(F, rec) -> bool:
+    """Re-verify the exact cycle equation of a preperiodic orbit record."""
+    if rec.status != "preperiodic":
+        return False
+    y = rec.start
+    for _ in range(rec.tail_length):
+        y = apply_map(F, y)
+    z = y
+    for _ in range(rec.cycle_length):
+        z = apply_map(F, z)
+    return z == y
+
+
 def local_height_padic_oracle(F, z, p: int, n: int) -> float:
     """d^-n log||F^n(z)||_p by raw exact iteration (no renormalization)."""
     d = F.d
@@ -344,10 +411,10 @@ def green_pairing_by_formula(F, x, y, v, height):
     """g_v(x, y) = -log|x^y|_v + H_v(x) + H_v(y) - log|Res F|_v / (d(d-1)),
     with every term computed afresh for this pair and place.
 
-    The same terms as ``local_heights.green_pairing_from_heights``, built
-    with the same rounding helpers and added in the same order, so the two
-    agree bit for bit; the library takes the wedge from its caller and the
-    resultant term from a per-place memo.
+    The same terms as ``local_heights.green_pairing``, built with the same
+    rounding helpers and added in the same order, so the two agree bit for
+    bit; the library reads the local heights and the resultant term from a
+    ``LocalHeights`` memo.
     """
     d = F.d
     c = d * (d - 1)

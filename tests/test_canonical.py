@@ -13,14 +13,14 @@ from dynheights import (
     apply_map,
     canonical_height,
     conjugate,
-    functional_check,
+    energy_sum,
     height_gap_constant,
-    pairing_identity_check,
     weil_height,
 )
+from dynheights.local_heights import LocalHeights
 
 from conftest import random_lift, random_point
-from oracles import energy_by_formula, hhat_limit
+from oracles import energy_by_formula, functional_check, hhat_limit
 
 INF = Place.archimedean()
 
@@ -153,22 +153,27 @@ def test_functional_check_random():
 
 
 # ---------------------------------------------------------------------------
-# Pairing identity
+# Pairing identity: energy_sum at N = 2 over all places, whose unordered sum
+# is sum_v g_v(x, y) and whose ordered sum must equal 2 (h(x) + h(y))
 # ---------------------------------------------------------------------------
 
 
+def _holds(rep, slack=0.0):
+    return rep.identity_residual <= rep.identity_budget + slack
+
+
 def test_pairing_identity_monomial(monomial):
-    r = pairing_identity_check(monomial, ProjPoint(2, 1), ProjPoint(3, 1))
-    assert r.lhs == pytest.approx(math.log(6), abs=1e-10)
-    assert r.rhs == pytest.approx(math.log(6), abs=1e-10)
-    assert r.holds(1e-12)
-    r = pairing_identity_check(monomial, ProjPoint(0, 1), ProjPoint(1, 0))
-    assert abs(r.lhs) <= 1e-10 and abs(r.rhs) <= 1e-10
+    rep = energy_sum(monomial, [ProjPoint(2, 1), ProjPoint(3, 1)], "all")
+    assert rep.unordered.value == pytest.approx(math.log(6), abs=1e-10)
+    assert rep.identity_expected == pytest.approx(2 * math.log(6), abs=1e-10)
+    assert _holds(rep, 1e-12)
+    rep = energy_sum(monomial, [ProjPoint(0, 1), ProjPoint(1, 0)], "all")
+    assert abs(rep.unordered.value) <= 1e-10 and abs(rep.identity_expected) <= 1e-10
 
 
 def test_pairing_identity_rejects_diagonal(monomial):
     with pytest.raises(InputError):
-        pairing_identity_check(monomial, ProjPoint(2, 1), ProjPoint(2, 1))
+        energy_sum(monomial, [ProjPoint(2, 1), ProjPoint(2, 1)], "all")
 
 
 def test_pairing_identity_z2m1_with_limit_oracle(z2_minus_1):
@@ -178,10 +183,10 @@ def test_pairing_identity_z2m1_with_limit_oracle(z2_minus_1):
         x, y = random_point(rng, 20), random_point(rng, 20)
         if x == y:
             continue
-        r = pairing_identity_check(z2_minus_1, x, y, 35)
-        assert r.residual <= r.budget + 1e-12
+        rep = energy_sum(z2_minus_1, [x, y], "all", 35)
+        assert _holds(rep, 1e-12)
         oracle = hhat_limit(z2_minus_1, x, 13) + hhat_limit(z2_minus_1, y, 13)
-        assert abs(r.lhs - oracle) <= 2 * gap / 2**13 + 1e-6
+        assert abs(rep.unordered.value - oracle) <= 2 * gap / 2**13 + 1e-6
 
 
 def test_pairing_identity_lhs_matches_the_factored_place_sum():
@@ -193,9 +198,10 @@ def test_pairing_identity_lhs_matches_the_factored_place_sum():
         x, y = random_point(rng, 30), random_point(rng, 30)
         if x == y:
             continue
-        r = pairing_identity_check(F, x, y, 12)
+        rep = energy_sum(F, [x, y], "all", 12)
         oracle = energy_by_formula(F, [x, y], "all", 12)
-        assert abs(r.lhs - oracle.value) <= r.budget + oracle.err, (F, x, y)
+        gap = abs(rep.unordered.value - oracle.value)
+        assert gap <= rep.unordered.err + oracle.err, (F, x, y)
 
 
 @pytest.mark.parametrize("d", [2, 3])
@@ -206,8 +212,22 @@ def test_pairing_identity_random_maps(d):
         x, y = random_point(rng), random_point(rng)
         if x == y:
             continue
-        r = pairing_identity_check(F, x, y, 35)
-        assert r.residual <= r.budget + 1e-12
+        assert _holds(energy_sum(F, [x, y], "all", 35), 1e-12)
+
+
+def test_height_memo_must_match_the_map_and_n_iter(monomial, z2_minus_1):
+    x, y = ProjPoint(2, 1), ProjPoint(3, 1)
+    memo = LocalHeights(monomial, 20)
+    shared = canonical_height(monomial, x, 20, heights=memo)
+    assert shared == canonical_height(monomial, x, 20)
+    assert energy_sum(monomial, [x, y], "all", 20, heights=memo) == energy_sum(
+        monomial, [x, y], "all", 20
+    )
+    for F, n_iter in ((z2_minus_1, 20), (monomial, 30)):
+        with pytest.raises(InputError):
+            canonical_height(F, x, n_iter, heights=memo)
+        with pytest.raises(InputError):
+            energy_sum(F, [x, y], "all", n_iter, heights=memo)
 
 
 # ---------------------------------------------------------------------------
@@ -248,8 +268,7 @@ def test_degree_four_pipeline():
     assert hb.total.value == pytest.approx(math.log(3), abs=1e-11)
     G = lift([2, 1, 0, -1, 3], [1, 0, 2, 0, 1])
     x, y = ProjPoint(2, 1), ProjPoint(5, 3)
-    r = pairing_identity_check(G, x, y, 25)
-    assert r.residual <= r.budget + 1e-12
+    assert _holds(energy_sum(G, [x, y], "all", 25), 1e-12)
     assert functional_check(G, x, 25).holds(1e-12)
 
 

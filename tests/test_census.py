@@ -4,6 +4,7 @@ import random
 import mpmath
 import pytest
 
+import dynheights.census as census
 import dynheights.local_heights as lh
 from dynheights import (
     CertifiedValue,
@@ -22,11 +23,10 @@ from dynheights import (
     preperiodic_height_bound,
     preperiodic_points,
     small_height_census,
-    verify_cycle,
 )
 
 from conftest import lift, random_lift
-from oracles import energy_by_formula, hhat_limit
+from oracles import energy_by_formula, hhat_limit, verify_cycle
 
 
 # ---------------------------------------------------------------------------
@@ -177,6 +177,32 @@ def test_census_computes_each_local_height_once(z2_plus_half, monkeypatch):
     assert len(keys) == len(set(keys))
 
 
+def _count_calls(monkeypatch, module, name):
+    """Wrap module.name; return the list of keyword arguments of its calls."""
+    calls = []
+    inner = getattr(module, name)
+
+    def counting(*args, **kwargs):
+        calls.append(kwargs)
+        return inner(*args, **kwargs)
+
+    monkeypatch.setattr(module, name, counting)
+    return calls
+
+
+def test_census_reaches_the_public_height_and_energy_entries(monkeypatch):
+    heights = _count_calls(monkeypatch, census, "canonical_height")
+    energies = _count_calls(monkeypatch, census, "energy_sum")
+    F = lift([6, 0, 1], [0, 0, 6])  # z^2 + 1/6: 72 counted points, a full table
+    rep = small_height_census(F, 30, 2.0)
+    assert (rep.searched, rep.count, rep.energy.n_points) == (72, 72, 60)
+    assert len(energies) == 1
+    # one call per scanned point, then one per table point inside energy_sum
+    assert len(heights) == rep.searched + rep.energy.n_points
+    memos = {id(kw["heights"]) for kw in heights + energies}
+    assert len(memos) == 1 and energies[0]["heights"] is not None
+
+
 # ---------------------------------------------------------------------------
 # Gap probe
 # ---------------------------------------------------------------------------
@@ -192,6 +218,14 @@ def test_gap_probe_monomial(monomial):
 def test_gap_probe_z2m1_positive(z2_minus_1):
     probe = height_gap_probe(z2_minus_1, math.log(3))
     assert probe.min_certified > 0
+
+
+def test_gap_probe_reads_one_memo_per_map(z2_minus_1, monkeypatch):
+    heights = _count_calls(monkeypatch, census, "canonical_height")
+    probe = height_gap_probe(z2_minus_1, math.log(3))
+    assert len(heights) == probe.non_preperiodic
+    assert len({id(kw["heights"]) for kw in heights}) == 1
+    assert heights[0]["heights"] is not None
 
 
 def test_gap_probe_empty_box(monomial):

@@ -1,7 +1,9 @@
-"""The package runs on the standard library alone.
+"""The package runs on the standard library alone, and exports what its users call.
 
-Each check starts a fresh interpreter.  The first imports ``dynheights.cli``
-and lists every module the import added.  The others block sympy
+The public names are pinned to a declared list.  Each other check starts a
+fresh interpreter.  One imports ``dynheights.cli`` and lists every module the
+import added; one imports the benchmark's ``checks``, which reads two names
+of the package.  The others block sympy
 (``sys.modules["sympy"] = None`` makes any import of it raise ImportError)
 and then run the pinned-digest panel of the CLI tests and one round of
 each benchmark workload: every resultant there factors by trial division,
@@ -44,6 +46,41 @@ def test_importing_the_cli_loads_only_the_package_and_the_standard_library():
         and m.split(".")[0] not in sys.stdlib_module_names
     ]
     assert foreign == []
+
+
+PUBLIC_NAMES = [
+    "BadReductionReport", "BinaryForm", "CensusReport", "CertifiedValue",
+    "ComparisonTable", "DEFAULT_ITERS", "DegenerateMapError", "DiagonalPairingError",
+    "DuplicatePointsError", "DynheightsError", "EnergyReport", "EscapePreconditionError",
+    "EscapeRadius", "GapProbe", "HeightBreakdown", "HomogeneousLift", "InputError",
+    "MilnorInvariants", "MinResCertificate", "Mobius", "OracleRadiusError", "OrbitRecord",
+    "Place", "ProjPoint", "ResultantHeight", "StepErrorConstant", "UnsupportedDegreeError",
+    "apply_map", "bad_places", "canonical_height", "comparison_scatter", "conjugate",
+    "energy_sum", "enumerate_points", "escape_radius", "green_pairing", "h_res",
+    "height_gap_constant", "height_gap_probe", "hom_local_height", "milnor_invariants",
+    "minimal_resultant_oracle", "minimal_resultant_ord", "orbit", "ord_res_at",
+    "preperiodic_height_bound", "preperiodic_points", "small_height_census",
+    "step_error_constants", "sylvester_resultant", "verify_escape", "weil_height",
+]
+
+
+def test_public_names_are_the_declared_list():
+    import dynheights
+
+    assert sorted(dynheights.__all__) == PUBLIC_NAMES
+    assert all(hasattr(dynheights, name) for name in PUBLIC_NAMES)
+
+
+def test_bench_checks_import():
+    # checks.py reads minimal_resultant_oracle and height_gap_constant
+    got = _run(
+        "import json, sys\n"
+        f"sys.path.insert(0, {str(BENCH)!r})\n"
+        "import checks\n"
+        "print(json.dumps([checks.minimal_resultant_oracle.__name__,"
+        " checks.height_gap_constant.__name__]))\n"
+    )
+    assert got == ["minimal_resultant_oracle", "height_gap_constant"]
 
 
 def test_digest_panel_runs_without_sympy(map_file):

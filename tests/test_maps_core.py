@@ -17,9 +17,7 @@ from dynheights import (
     UnsupportedDegreeError,
     apply_map,
     conjugate,
-    evaluate_lift,
     milnor_invariants,
-    normalized_resultant_abs,
     sylvester_resultant,
 )
 from dynheights.arith import ord_int, prime_factors_abs
@@ -30,6 +28,7 @@ from oracles import (
     conjugate_forms_by_composition,
     milnor_sigmas_by_dmp_resultant,
     naive_resultant,
+    normalized_resultant_abs,
     sigma_numeric,
 )
 
@@ -194,10 +193,14 @@ def test_conjugate_forms_matches_composition_oracle():
 
 
 def test_evaluate_lift(monomial):
-    assert evaluate_lift(monomial, (2, 1)) == (4, 1)
+    def evaluate(F, x, y):
+        return F.P.evaluate(x, y), F.Q.evaluate(x, y)
+
+    assert evaluate(monomial, 2, 1) == (4, 1)
     F = lift([1, 0, 1], [0, 1, 0])  # (x^2 + y^2, x y)
-    assert evaluate_lift(F, (1, 1)) == (2, 1)
-    assert evaluate_lift(lift([3, 0, 0], [0, 0, 1]), (0, 1)) == (0, 1)
+    assert evaluate(F, 1, 1) == (2, 1)
+    assert evaluate(lift([3, 0, 0], [0, 0, 1]), 0, 1) == (0, 1)
+    assert evaluate(F, Fraction(1, 2), Fraction(1)) == (Fraction(5, 4), Fraction(1, 2))
 
 
 def test_apply_map_examples(monomial, z2_minus_1):
