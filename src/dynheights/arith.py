@@ -15,7 +15,6 @@ on a composite cofactor.
 
 from __future__ import annotations
 
-from fractions import Fraction
 from itertools import compress
 from math import gcd, isqrt
 
@@ -80,8 +79,7 @@ def ord_fraction(x, p: int):
     """p-adic valuation of a Fraction or int (ORD_INFINITY for 0)."""
     if x == 0:
         return ORD_INFINITY
-    fr = Fraction(x)
-    return ord_int(fr.numerator, p) - ord_int(fr.denominator, p)
+    return ord_int(x.numerator, p) - ord_int(x.denominator, p)
 
 
 def content(coeffs) -> int:

@@ -341,8 +341,7 @@ def small_height_census(
         comparison_row = (rh.finite_part, inv.moduli_height.value)
     scan = _scan(F, search_bound)
     height = LocalHeights(F, n_iter)
-    warnings = list(rh.warnings)
-    warnings += [f"orbit budget exhausted at {x}" for x, r in scan if r.status == "undecided"]
+    warnings = [f"orbit budget exhausted at {x}" for x, r in scan if r.status == "undecided"]
     rows = []
     for x, rec in scan:
         hhat = canonical_height(F, x, n_iter, heights=height).total

@@ -3,7 +3,7 @@
 One subcommand per library operation, machine-readable output on stdout
 (JSON by default, CSV for the census), diagnostics and the run manifest on
 stderr.  Exit status: 0 on success, 2 on invalid input, 3 when a result is
-uncertified: an iteration or descent budget ran out, or the arithmetic
+uncertified: an orbit budget ran out, or the arithmetic
 left the range where the result can be certified (for instance
 coefficients too large for a float); in that last case nothing is written
 to stdout.
@@ -184,12 +184,10 @@ def _run_command(args):
             return {"res": str(sylvester_resultant(P, Q))}, False, F
     if cmd == "badplaces":
         F = load_map(args.map)
-        rep = bad_places(F)
-        return rep.to_json_dict(), bool(rep.warnings), F
+        return bad_places(F).to_json_dict(), False, F
     if cmd == "minres":
         F = load_map(args.map)
-        cert = minimal_resultant_ord(F, args.prime)
-        return cert.to_json_dict(), cert.capped, F
+        return minimal_resultant_ord(F, args.prime).to_json_dict(), False, F
     if cmd == "height":
         F = load_map(args.map)
         hb = canonical_height(F, parse_point(args.point), args.iters)

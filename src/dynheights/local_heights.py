@@ -16,20 +16,25 @@ the archimedean place with A' an exact bound on the cofactor forms over
 the unit ball.
 
 Each place has one orbit kernel, read by both the local height and the
-escape test (``verify_escape``).  At the archimedean place it is a float
-orbit with exact binary renormalization each step (so magnitudes never
-leave [1/2, 1)).  At a finite place it is a residue orbit mod p^r with
-r > e = ord_p Res(F) before every step: every step valuation read off is
-exact, so no exact rational is iterated.  Each p-adic step is plain integer
-arithmetic: one homogeneous Horner pass evaluates both forms, and the step
-valuation m is read from gcd(w0, w1, p^r) = p^m.  The per-step rescaling is
-compensated exactly through the homogeneity identity
-H(lambda z) = H(z) + log|lambda|_v.
+escape test (``verify_escape``), and each kernel takes a coprime integer
+pair.  A pair given with rational entries is split once, at the public
+entry, into lambda * y with y coprime; lambda enters through the
+homogeneity identity H(lambda y) = H(y) + log|lambda|_v, and a
+``ProjPoint`` lift goes to the kernels as it is.  At the archimedean place
+the kernel is a float orbit with exact binary renormalization each step
+(so magnitudes never leave [1/2, 1)).  At a finite place it is a residue
+orbit mod p^r with r > e = ord_p Res(F) before every step: every step
+valuation read off is exact, so no exact rational is iterated.  Each
+p-adic step is plain integer arithmetic: one homogeneous Horner pass
+evaluates both forms, and the step valuation m is read from
+gcd(w0, w1, p^r) = p^m.  The per-step rescaling is compensated exactly
+through the same homogeneity identity.
 
-A ``LocalHeights`` memo holds each H_v(x) of one map at one series length;
-``canonical_height`` and ``energy_sum`` take one through ``heights=``
-(checked by ``heights_memo``), and ``green_pairing`` builds its own.  Every
-entry defaults to ``DEFAULT_ITERS`` terms.
+A ``LocalHeights`` memo holds each H_v(x) of one map at one series length
+and refuses a length below 1 when it is built, so no place can skip that
+check; ``canonical_height`` and ``energy_sum`` take one through
+``heights=`` (checked by ``heights_memo``), and ``green_pairing`` builds
+its own.  Every entry defaults to ``DEFAULT_ITERS`` terms.
 """
 
 from __future__ import annotations
@@ -115,21 +120,37 @@ def escape_radius(F: HomogeneousLift, v: Place) -> EscapeRadius:
 # ---------------------------------------------------------------------------
 
 
-def _binary_exponent(x: Fraction) -> int:
-    """e with x / 2^e in [1/2, 2); x > 0."""
+def _binary_exponent(x) -> int:
+    """e with x / 2^e in [1/2, 2); x > 0 an int or Fraction."""
     return x.numerator.bit_length() - x.denominator.bit_length()
 
 
-def _arch_steps(F: HomogeneousLift, x0: Fraction, x1: Fraction, n_steps: int):
+def _coprime_split(z) -> tuple:
+    """(lam, y0, y1) with z = lam * (y0, y1), lam > 0 and (y0, y1) a coprime
+    integer pair; lam is an int when z is an int pair.  (0, 0) is refused."""
+    z0, z1 = z
+    den = 1
+    if not (isinstance(z0, int) and isinstance(z1, int)):
+        z0, z1 = Fraction(z0), Fraction(z1)
+        den = math.lcm(z0.denominator, z1.denominator)
+        z0, z1 = z0.numerator * (den // z0.denominator), z1.numerator * (den // z1.denominator)
+    g = gcd(z0, z1)
+    if g == 0:
+        raise InputError("(0, 0) does not define a projective point")
+    return (g if den == 1 else Fraction(g, den)), z0 // g, z1 // g
+
+
+def _arch_steps(F: HomogeneousLift, y0: int, y1: int, n_steps: int):
     """Yield t_k = log||F(u_k)|| - d log||u_k|| for k = 0 .. n_steps - 1.
 
-    u_0 = (x0, x1) / 2^e as floats and u_{k+1} = F(u_k) / 2^e', both powers
-    of two exact, so log||F^n(x)|| = d^n log||x|| + sum_k d^(n-1-k) t_k while
-    every float stays near [1/2, 1).
+    (y0, y1) is a coprime integer pair, u_0 = (y0, y1) / 2^e as floats and
+    u_{k+1} = F(u_k) / 2^e', both powers of two exact, so
+    log||F^n(y)|| = d^n log||y|| + sum_k d^(n-1-k) t_k while every float
+    stays near [1/2, 1).
     """
     d = F.d
-    scale = Fraction(2) ** _binary_exponent(max(abs(x0), abs(x1)))
-    u0, u1 = float(x0 / scale), float(x1 / scale)
+    scale = 1 << (max(abs(y0), abs(y1)).bit_length() - 1)
+    u0, u1 = y0 / scale, y1 / scale  # correctly rounded, whatever the size of y
     for _ in range(n_steps):
         w0, w1 = F.P.evaluate(u0, u1), F.Q.evaluate(u0, u1)
         nw = max(abs(w0), abs(w1))
@@ -140,17 +161,10 @@ def _arch_steps(F: HomogeneousLift, x0: Fraction, x1: Fraction, n_steps: int):
         u0, u1 = math.ldexp(w0, -ex), math.ldexp(w1, -ex)
 
 
-def _frac_to_residue(x: Fraction, modulus: int) -> int:
-    """x mod modulus for x with denominator invertible mod modulus."""
-    num = x.numerator % modulus
-    den = x.denominator % modulus
-    return (num * pow(den, -1, modulus)) % modulus
-
-
-def _padic_steps(F: HomogeneousLift, x0: Fraction, x1: Fraction, p: int, e: int, n_steps: int):
-    """(m0, [m_1, ..., m_n]) with ||x||_p = p^-m0 and m_k the valuation of
-    F(u_(k-1)), u_0 = x / p^m0 and u_k = F(u_(k-1)) / p^m_k, so that
-    ||F^n(x)||_p = p^-(d^n m0 + sum_k d^(n-k) m_k).
+def _padic_steps(F: HomogeneousLift, y0: int, y1: int, p: int, e: int, n_steps: int) -> list:
+    """[m_1, ..., m_n] for a coprime integer pair y: m_k is the valuation of
+    F(u_(k-1)), u_0 = y and u_k = F(u_(k-1)) / p^m_k, so that
+    ||F^n(y)||_p = p^-(sum_k d^(n-k) m_k).
 
     Every m_k <= e = ord_p Res(F) (cofactor identity), so a valuation read
     off mod p^r, r > e, is exact.  The orbit runs mod p^r, dropping m_k
@@ -162,8 +176,6 @@ def _padic_steps(F: HomogeneousLift, x0: Fraction, x1: Fraction, p: int, e: int,
     gcd: the modulus is a power of p, so gcd(w0, w1, p^r) = p^m_k exactly
     (p^r itself when both residues vanish).
     """
-    m0 = min(ord_fraction(x0, p), ord_fraction(x1, p))
-    scale = Fraction(p) ** m0  # u_0 has min valuation 0
     cp, cq = F.P.descending(), F.Q.descending()
     head_p, head_q, tail = cp[0], cq[0], tuple(zip(cp[1:], cq[1:]))
     exponent = {p**k: k for k in range(e + 1)}  # a gcd outside it means m > e
@@ -171,7 +183,7 @@ def _padic_steps(F: HomogeneousLift, x0: Fraction, x1: Fraction, p: int, e: int,
     precision = min(2 * e + 2, full)
     while True:
         remaining, modulus = precision, p**precision
-        z0, z1 = _frac_to_residue(x0 / scale, modulus), _frac_to_residue(x1 / scale, modulus)
+        z0, z1 = y0 % modulus, y1 % modulus
         steps = []
         while len(steps) < n_steps and remaining > e:
             a, b, yp = head_p, head_q, 1
@@ -189,7 +201,7 @@ def _padic_steps(F: HomogeneousLift, x0: Fraction, x1: Fraction, p: int, e: int,
             modulus //= shift
             z0, z1 = w0 // shift, w1 // shift  # already below the new modulus
         if len(steps) == n_steps:
-            return m0, steps
+            return steps
         precision = min(2 * precision, full)
 
 
@@ -205,14 +217,14 @@ def _series_tail(bound: float, d: int, n_iter: int) -> float:
     return num / (den * d**n_iter * (d - 1))
 
 
-def _arch_local_height(F: HomogeneousLift, x0: Fraction, x1: Fraction, n_iter: int):
+def _arch_local_height(F: HomogeneousLift, lam, y0: int, y1: int, n_iter: int):
     d = F.d
     const = step_error_constants(F, Place.archimedean())
-    log0 = log_abs_certified(max(abs(x0), abs(x1)))
+    log0 = log_abs_certified(lam * max(abs(y0), abs(y1)))  # log||lam y||, exact input
     acc = 0.0
     pad = log0.err
     weight = 1.0 / d
-    for t in _arch_steps(F, x0, x1, n_iter):
+    for t in _arch_steps(F, y0, y1, n_iter):
         acc += weight * t
         pad += weight * 1e-14 * (1.0 + abs(t))
         weight /= d
@@ -221,16 +233,16 @@ def _arch_local_height(F: HomogeneousLift, x0: Fraction, x1: Fraction, n_iter: i
     return CertifiedValue(log0.value + acc, err)
 
 
-def _padic_local_height(F: HomogeneousLift, x0: Fraction, x1: Fraction, p: int, n_iter: int):
+def _padic_local_height(F: HomogeneousLift, lam, y0: int, y1: int, p: int, n_iter: int):
     d = F.d
     e = ord_int(F.resultant, p)
+    m0 = ord_fraction(lam, p)  # ||lam y||_p = p^-m0, y coprime
     if e == 0:  # every step valuation is 0: H = -m0 log p, no truncation, no orbit
-        return log_rational_multiple(-min(ord_fraction(x0, p), ord_fraction(x1, p)), p)
-    m0, steps = _padic_steps(F, x0, x1, p, e, n_iter)
+        return log_rational_multiple(-m0, p)
     # H = -m0 - sum_{k=1..n} m_k / d^k; Horner keeps the integer numerator
     # over d^n, so no Fraction arithmetic runs per step
     num = 0
-    for m in steps:
+    for m in _padic_steps(F, y0, y1, p, e, n_iter):
         num = num * d - m
     cv = log_rational_multiple(Fraction(num, d**n_iter) - m0, p)
     tail = _series_tail(e * math.log(p), d, n_iter)
@@ -240,19 +252,19 @@ def _padic_local_height(F: HomogeneousLift, x0: Fraction, x1: Fraction, p: int, 
 def hom_local_height(F: HomogeneousLift, xt, v: Place, n_iter: int) -> CertifiedValue:
     """Certified local height of the pair xt = (x0, x1) != (0, 0) at the place v.
 
-    Satisfies the homogeneity identity H(lambda * xt) = H(xt) + log|lambda|_v
-    and H(F(xt)) = d * H(xt), both up to the returned error radius.  At a
-    finite place with good reduction of the lift the value is exact (zero
-    truncation).
+    xt may hold ints or Fractions.  It is split once into lam * y with y a
+    coprime integer pair, and the orbit kernels run on y; lam enters through
+    the homogeneity identity H(lambda * xt) = H(xt) + log|lambda|_v, which
+    the result satisfies together with H(F(xt)) = d * H(xt), both up to the
+    returned error radius.  At a finite place with good reduction of the
+    lift the value is exact (zero truncation).
     """
     if n_iter < 1:
         raise InputError("n_iter must be >= 1")
-    x0, x1 = Fraction(xt[0]), Fraction(xt[1])
-    if x0 == 0 and x1 == 0:
-        raise InputError("(0, 0) has no local height")
+    lam, y0, y1 = _coprime_split(xt)
     if v.is_archimedean:
-        return _arch_local_height(F, x0, x1, n_iter)
-    return _padic_local_height(F, x0, x1, v.prime, n_iter)
+        return _arch_local_height(F, lam, y0, y1, n_iter)
+    return _padic_local_height(F, lam, y0, y1, v.prime, n_iter)
 
 
 # ---------------------------------------------------------------------------
@@ -271,6 +283,7 @@ def green_pairing(
     """
     if x == y:
         raise DiagonalPairingError(f"green pairing at the diagonal: {x}")
+    height = LocalHeights(F, n_iter)  # checks n_iter, also where no height runs
     w = x.wedge(y)
     if v.is_archimedean:
         total = -log_abs_certified(w)
@@ -279,7 +292,6 @@ def green_pairing(
         if w % p != 0 and F.resultant % p != 0:
             return CertifiedValue.exact_zero()
         total = log_rational_multiple(ord_int(w, p), p)  # -log|w|_p
-    height = LocalHeights(F, n_iter)
     total = total + height(x, v)
     total = total + height(y, v)
     return total + height.resultant_term(v)
@@ -292,6 +304,8 @@ class LocalHeights:
     """
 
     def __init__(self, F: HomogeneousLift, n_iter: int):
+        if n_iter < 1:
+            raise InputError("n_iter must be >= 1")
         self.F, self.n_iter = F, n_iter
         self._local, self._res = {}, {}
 
@@ -344,12 +358,10 @@ def verify_escape(
     if delta <= 0:
         raise InputError("delta must be positive")
     d = F.d
-    z0, z1 = Fraction(z[0]), Fraction(z[1])
-    if z0 == 0 and z1 == 0:
-        raise InputError("(0, 0) cannot escape")
+    lam, y0, y1 = _coprime_split(z)
     rad = escape_radius(F, v)
     if v.is_archimedean:
-        m = max(abs(z0), abs(z1))
+        m = lam * max(abs(y0), abs(y1))  # ||z||, exact
         if not float(m) > (1.0 + delta) * rad.R:
             raise EscapePreconditionError(
                 f"||z|| = {float(m)} is not above (1+delta) R = {(1.0 + delta) * rad.R}"
@@ -357,7 +369,7 @@ def verify_escape(
         ratio = (d - 1) * math.log1p(delta)
         e0 = _binary_exponent(m)
         lognorm = math.log(float(m / Fraction(2) ** e0)) + e0 * math.log(2.0)
-        for t in _arch_steps(F, z0, z1, n_steps):
+        for t in _arch_steps(F, y0, y1, n_steps):
             # test the increment itself: once lognorm overflows to inf, the
             # difference of two infinite lognorms would be NaN
             if not (d - 1) * lognorm + t >= ratio:
@@ -367,20 +379,19 @@ def verify_escape(
     # finite place: all comparisons exact
     p = v.prime
     e = ord_int(F.resultant, p)
-    m0 = min(ord_fraction(z0, p), ord_fraction(z1, p))
-    # ||z|| > (1+delta) R  <=>  p^(-m0 (d-1) - e) > (1+delta)^(d-1)
+    big_m = ord_fraction(lam, p)  # ||z||_p = p^-big_m, y coprime
+    # ||z|| > (1+delta) R  <=>  p^(-big_m (d-1) - e) > (1+delta)^(d-1)
     ratio = (1 + Fraction(delta)) ** (d - 1)  # exact float-to-rational conversion
-    if not Fraction(p) ** (-m0 * (d - 1) - e) > ratio:
+    if not Fraction(p) ** (-big_m * (d - 1) - e) > ratio:
         raise EscapePreconditionError(
-            f"||z||_{p} = p^{-m0} is not above (1+delta) R = (1+delta) p^({e}/{d - 1})"
+            f"||z||_{p} = p^{-big_m} is not above (1+delta) R = (1+delta) p^({e}/{d - 1})"
         )
     # ||F^k(z)||_p = p^(-M_k) with M_{k+1} = d M_k + m_{k+1}; the growth
     # p^(M_k - M_{k+1}) reaches the ratio iff M_k - M_{k+1} >= k_min
     k_min = 1
     while p**k_min * ratio.denominator < ratio.numerator:
         k_min += 1
-    big_m, steps = _padic_steps(F, z0, z1, p, e, n_steps)
-    for m in steps:
+    for m in _padic_steps(F, y0, y1, p, e, n_steps):
         new_big_m = d * big_m + m
         if big_m - new_big_m < k_min:
             return False

@@ -3,7 +3,7 @@
 A degree-d rational map f is carried by a homogeneous lift F = (P, Q):
 two degree-d integer binary forms with nonzero Sylvester resultant.
 Points of P^1(Q) are coprime sign-canonical integer pairs.  Conjugation
-acts through invertible 2x2 rational matrices.  All operations are pure
+acts through invertible 2x2 integer matrices.  All operations are pure
 functions of immutable values.
 
 Conventions fixed here and used by every other module:
@@ -20,7 +20,7 @@ Conventions fixed here and used by every other module:
   ``BinaryForm``s, so it also gives Res of forms that are not canonical.
 * ``conjugate(F, phi)`` is the canonical lift of phi o f o phi^{-1};
   computed over the integers as M o F o adj(M), with M the matrix of phi
-  scaled to integer entries (same projective map as with M^{-1}).
+  (adj(M) is the same projective map as M^{-1}).
 * A ``HomogeneousLift`` is the per-map context: its resultant, the primes
   dividing it and the cofactor bound A' are computed once, on first use,
   and cached on the (immutable) lift.
@@ -172,21 +172,25 @@ class ProjPoint:
 
 @dataclass(frozen=True)
 class Mobius:
-    """Invertible 2x2 matrix over Q acting on P^1 by [x:y] -> [ax+by : cx+dy]."""
+    """Invertible 2x2 integer matrix acting on P^1 by [x:y] -> [ax+by : cx+dy].
 
-    a: Fraction
-    b: Fraction
-    c: Fraction
-    d: Fraction
+    A nonzero multiple of the matrix is the same map; the entries are kept
+    as given, not divided by their content.
+    """
+
+    a: int
+    b: int
+    c: int
+    d: int
 
     def __post_init__(self):
-        for name in ("a", "b", "c", "d"):
-            object.__setattr__(self, name, Fraction(getattr(self, name)))
+        if not all(isinstance(e, int) for e in (self.a, self.b, self.c, self.d)):
+            raise InputError("Moebius matrix entries must be integers")
         if self.det == 0:
             raise InputError("Moebius matrix must be invertible")
 
     @property
-    def det(self) -> Fraction:
+    def det(self) -> int:
         return self.a * self.d - self.b * self.c
 
     @classmethod
@@ -201,8 +205,8 @@ class Mobius:
         return ((self.a, self.b), (self.c, self.d))
 
     def inverse(self) -> "Mobius":
-        det = self.det
-        return Mobius(self.d / det, -self.b / det, -self.c / det, self.a / det)
+        """The adjugate, det times the inverse matrix: the inverse map."""
+        return Mobius(self.d, -self.b, -self.c, self.a)
 
     def compose(self, other: "Mobius") -> "Mobius":
         """Matrix product self * other (apply ``other`` first)."""
@@ -215,10 +219,7 @@ class Mobius:
 
     def apply(self, x: ProjPoint) -> ProjPoint:
         """Image of a rational point, recanonicalized."""
-        u = self.a * x.x0 + self.b * x.x1
-        v = self.c * x.x0 + self.d * x.x1
-        den = u.denominator * v.denominator // math.gcd(u.denominator, v.denominator)
-        return ProjPoint(int(u * den), int(v * den))
+        return ProjPoint(self.a * x.x0 + self.b * x.x1, self.c * x.x0 + self.d * x.x1)
 
     def __str__(self) -> str:
         return f"[[{self.a},{self.b}],[{self.c},{self.d}]]"
@@ -403,22 +404,13 @@ def _conjugate_forms(F: HomogeneousLift, m: tuple) -> tuple:
     return g0, g1
 
 
-def _integral_matrix(phi: Mobius) -> tuple:
-    """The matrix of phi scaled by the lcm of its denominators: same map, integer entries."""
-    entries = (phi.a, phi.b, phi.c, phi.d)
-    den = math.lcm(*(e.denominator for e in entries))
-    a, b, c, d = (e.numerator * (den // e.denominator) for e in entries)
-    return ((a, b), (c, d))
-
-
 def conjugate(F: HomogeneousLift, phi: Mobius) -> HomogeneousLift:
     """The canonical lift of phi o f o phi^{-1}.
 
-    Scaling phi's matrix does not change the projective map, so the integer
-    matrix of phi is used and all arithmetic is over Z.  The content is
+    All arithmetic is over Z, on the integer matrix of phi.  The content is
     divided out here, so each form is built once.
     """
-    g0, g1 = _conjugate_forms(F, _integral_matrix(phi))
+    g0, g1 = _conjugate_forms(F, phi.rows())
     g = _canonical_scale(g0[::-1] + g1[::-1])
     return HomogeneousLift(
         BinaryForm(tuple(c // g for c in g0)), BinaryForm(tuple(c // g for c in g1))

@@ -9,9 +9,11 @@ GL_2(Z_(p)) \\ GL_2(Q) of PGL_2(Q_p).  The p+1 neighbors of the vertex of
 phi are reached by left-composing phi with z -> (z+j)/p (j = 0..p-1) and
 z -> pz, the homothety-scaled inverses of the elementary moves z -> pz+j
 and z -> z/p that generate the walk.  ord_p Res is a convex function on
-the tree, so greedy neighbor descent terminates at the vertex minimum; an
-exhaustive small-radius ball search over the same generators serves as an
-independent oracle.
+the tree, so greedy neighbor descent terminates at the vertex minimum, after
+at most ord_p Res(F) moves; an exhaustive small-radius ball search over the
+same generators serves as an independent oracle.  Every conjugator is an
+integer ``Mobius`` matrix: the moves are integral, and the inverse of a
+move is taken as its adjugate, the same map.
 
 The descent evaluates only the neighbors at the reduction holes of the
 current conjugate G (Bruin-Molnar, "Minimal models for rational functions
@@ -54,11 +56,6 @@ from .arith import is_prime, ord_fraction, ord_int
 from .errors import InputError, OracleRadiusError
 from .maps_core import HomogeneousLift, Mobius, _conjugate_forms, conjugate
 
-#: descent gives up after 4*ord_start + 4 moves (defensive: each move strictly
-#: decreases a nonnegative integer, so the cap is never reached in practice)
-_DESCENT_CAP_SLOPE = 4
-_DESCENT_CAP_OFFSET = 4
-
 _ORACLE_MAX_RADIUS = 6
 
 #: move radius and size cap of the archimedean conjugator family of ``h_res``
@@ -77,9 +74,10 @@ class MinResCertificate:
 
     ``conjugator`` achieves ``ord_min``: recomputing ord_p of the resultant
     of the conjugated (canonical) lift reproduces it exactly.
-    ``method`` records which search produced the certificate; conjugators
-    range over all invertible rational matrices (the elementary moves have
-    determinant p, so this is the GL_2 convention).
+    ``method`` records which search produced the certificate.  The
+    conjugator is an integer matrix, a product of elementary moves of
+    determinant p (the GL_2 convention), printed as it is: its content is
+    not divided out.
     """
 
     p: int
@@ -87,25 +85,19 @@ class MinResCertificate:
     ord_min: int
     conjugator: Mobius
     method: str = "descent"
-    capped: bool = False
-    warning: str | None = None
 
     def verify(self, F: HomogeneousLift) -> bool:
         """Recompute ord_p Res through the conjugator; must equal ord_min."""
         return ord_res_at(F, self.p, self.conjugator) == self.ord_min
 
     def to_json_dict(self) -> dict:
-        rows = [[str(e) for e in row] for row in self.conjugator.rows()]
-        out = {
+        return {
             "p": self.p,
             "ord_start": self.ord_start,
             "ord_min": self.ord_min,
-            "conjugator": rows,
+            "conjugator": [[str(e) for e in row] for row in self.conjugator.rows()],
             "method": self.method,
         }
-        if self.capped:
-            out["warning"] = self.warning or "descent cap reached; minimality not certified"
-        return out
 
 
 @dataclass(frozen=True)
@@ -116,7 +108,6 @@ class BadReductionReport:
     includes_archimedean: bool
     s: int
     certificates: tuple = ()
-    warnings: tuple = ()
 
     def to_json_dict(self) -> dict:
         return {
@@ -124,7 +115,7 @@ class BadReductionReport:
             "includes_archimedean": self.includes_archimedean,
             "s": self.s,
             "certificates": [c.to_json_dict() for c in self.certificates],
-            "warnings": list(self.warnings),
+            "warnings": [],  # every descent ends certified
         }
 
 
@@ -144,7 +135,6 @@ class ResultantHeight:
     arch_term: float
     arch_upper_bound_only: bool
     total: float
-    warnings: tuple = ()
 
     def to_json_dict(self) -> dict:
         return {
@@ -154,7 +144,7 @@ class ResultantHeight:
             "arch_upper_bound_only": self.arch_upper_bound_only,
             "total": self.total,
             "total_finite_only": self.finite_part,
-            "warnings": list(self.warnings),
+            "warnings": [],
         }
 
 
@@ -202,8 +192,10 @@ def _column_hermite_key(a, b, c, d, p: int) -> tuple:
 
     Column Hermite reduction over the DVR Z_(p) brings m to the unique
     shape [[p^n, r], [0, 1]] up to homothety, with r a canonical residue
-    mod p^n Z_(p); the key is (n, r).
+    mod p^n Z_(p); the key is (n, r).  The entries are taken as Fractions,
+    since the reduction divides.
     """
+    a, b, c, d = map(Fraction, (a, b, c, d))
     if c != 0:
         if d == 0 or ord_fraction(c, p) < ord_fraction(d, p):
             a, b = b, a
@@ -335,10 +327,9 @@ def minimal_resultant_ord(F: HomogeneousLift, p: int) -> MinResCertificate:
     entries); stops when no hole improves.  Every other neighbor has
     ord_p Res >= current + d^2 - d (module docstring), so this is the move,
     and the certificate, that a scan of all p+1 neighbors would give, with
-    at most d evaluations per step for any p.  Since every move strictly
-    decreases a nonnegative integer, at most ord_start moves can occur; the
-    4*ord_start + 4 cap is defensive and, if ever reached, the certificate
-    is flagged rather than silently claimed minimal.  ord_start is read from
+    at most d evaluations per step for any p.  Every move strictly
+    decreases a nonnegative integer, so at most ord_start moves occur and
+    the certificate is always minimal.  ord_start is read from
     the lift's cached resultant, so a prime that does not divide Res costs
     no resultant and builds no neighbor, whatever its size.
     """
@@ -348,13 +339,7 @@ def minimal_resultant_ord(F: HomogeneousLift, p: int) -> MinResCertificate:
     G = F
     current = ord_int(F.resultant, p)
     ord_start = current
-    cap = _DESCENT_CAP_SLOPE * ord_start + _DESCENT_CAP_OFFSET
-    steps = 0
-    capped = False
     while current > 0:
-        if steps >= cap:
-            capped = True
-            break
         best = None
         for mv in hole_moves(G, p):
             cand = mv.compose(phi)
@@ -366,16 +351,7 @@ def minimal_resultant_ord(F: HomogeneousLift, p: int) -> MinResCertificate:
             break
         phi, current = best[1], best[2]
         G = conjugate(F, phi)
-        steps += 1
-    return MinResCertificate(
-        p=p,
-        ord_start=ord_start,
-        ord_min=current,
-        conjugator=phi,
-        method="descent",
-        capped=capped,
-        warning="descent cap reached; minimality not certified" if capped else None,
-    )
+    return MinResCertificate(p=p, ord_start=ord_start, ord_min=current, conjugator=phi)
 
 
 def _oracle_vertices(F: HomogeneousLift, p: int, radius: int):
@@ -422,22 +398,10 @@ def bad_places(F: HomogeneousLift) -> BadReductionReport:
     minimal-resultant descent.  The archimedean place counts as bad by
     convention, so s >= 1 always.
     """
-    certs = []
-    warnings = []
-    bad = []
-    for p in F.resultant_primes:
-        cert = minimal_resultant_ord(F, p)
-        certs.append(cert)
-        if cert.capped:
-            warnings.append(f"p={p}: {cert.warning}")
-        if cert.ord_min > 0:
-            bad.append((p, cert.ord_min))
+    certs = tuple(minimal_resultant_ord(F, p) for p in F.resultant_primes)
+    bad = tuple((c.p, c.ord_min) for c in certs if c.ord_min > 0)
     return BadReductionReport(
-        bad_primes=tuple(bad),
-        includes_archimedean=True,
-        s=len(bad) + 1,
-        certificates=tuple(certs),
-        warnings=tuple(warnings),
+        bad_primes=bad, includes_archimedean=True, s=len(bad) + 1, certificates=certs
     )
 
 
@@ -529,5 +493,4 @@ def h_res(F: HomogeneousLift) -> ResultantHeight:
         arch_term=arch_term,
         arch_upper_bound_only=True,
         total=finite_part + arch_term,
-        warnings=report.warnings,
     )

@@ -8,7 +8,7 @@ the local-height oracle iterates exact Fractions with no renormalization,
 and the multiplier oracle finds fixed points numerically at 60 digits.
 The full-scan descent is the reference for the hole-guided one: it
 evaluates all p + 1 tree neighbors at every step.  The archimedean
-conjugator family of ``h_res`` is rebuilt from ``Mobius`` products with
+conjugator family of ``h_res`` is rebuilt from products of matrices with
 exact ``Fraction`` entries, and each conjugate is expanded term by term
 with binomial coefficients, then canonicalized and its resultant taken.  The p-adic escape oracle
 iterates exact Fractions, where the library reads valuations off a residue
@@ -29,6 +29,7 @@ over the sup norm, which a change of lift must not move).
 from __future__ import annotations
 
 import math
+from collections import namedtuple
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -171,51 +172,71 @@ def conjugate_forms_by_composition(F, m) -> tuple:
     return [a * p + b * q for p, q in zip(Pw, Qw)], [c * p + d * q for p, q in zip(Pw, Qw)]
 
 
+#: a 2x2 matrix with exact Fraction entries [[a, b], [c, d]]
+FractionMatrix = namedtuple("FractionMatrix", "a b c d")
+
+
+def _matrix(a, b, c, d) -> FractionMatrix:
+    return FractionMatrix(Fraction(a), Fraction(b), Fraction(c), Fraction(d))
+
+
+def _matrix_product(m, n) -> FractionMatrix:
+    """m * n (apply n first)."""
+    return FractionMatrix(
+        m.a * n.a + m.b * n.c, m.a * n.b + m.b * n.d, m.c * n.a + m.d * n.c, m.c * n.b + m.d * n.d
+    )
+
+
+def _matrix_inverse(m) -> FractionMatrix:
+    det = m.a * m.d - m.b * m.c
+    return FractionMatrix(m.d / det, -m.b / det, -m.c / det, m.a / det)
+
+
 def _mobius_arch_generators(primes):
     """Unit shears and the coordinate swap, then per prime q the moves
-    z -> z/q and z -> qz + j (j = 0..q-1), then their inverses."""
-    yield Mobius(1, 1, 0, 1)
-    yield Mobius(1, -1, 0, 1)
-    yield Mobius(1, 0, 1, 1)
-    yield Mobius(1, 0, -1, 1)
-    yield Mobius(0, 1, 1, 0)
+    z -> z/q and z -> qz + j (j = 0..q-1), then their exact inverses."""
+    yield _matrix(1, 1, 0, 1)
+    yield _matrix(1, -1, 0, 1)
+    yield _matrix(1, 0, 1, 1)
+    yield _matrix(1, 0, -1, 1)
+    yield _matrix(0, 1, 1, 0)
     for q in primes:
         yield from _mobius_moves(q)
-        yield from (m.inverse() for m in _mobius_moves(q))
+        yield from (_matrix_inverse(m) for m in _mobius_moves(q))
 
 
 def _mobius_moves(q: int):
     """z -> z/q, then z -> qz + j for j = 0..q-1, one at a time."""
-    yield Mobius(1, 0, 0, q)
+    yield _matrix(1, 0, 0, q)
     for j in range(q):
-        yield Mobius(q, j, 0, 1)
+        yield _matrix(q, j, 0, 1)
 
 
 def mobius_arch_family(F) -> list:
-    """The archimedean conjugator family of ``h_res`` as ``Mobius`` products,
-    deduplicated by their Fraction entries, in insertion order."""
+    """The archimedean conjugator family of ``h_res`` as products of exact
+    Fraction matrices, deduplicated as matrices (not as maps: I and 2I are
+    two members), in insertion order."""
     primes = sorted({2, 3} | set(F.resultant_primes))
     gens = []
     for g in _mobius_arch_generators(primes):
         if len(gens) == _ARCH_FAMILY_CAP:
             break
         gens.append(g)
-    identity = Mobius.identity()
-    family = {(identity.a, identity.b, identity.c, identity.d): identity}
+    identity = _matrix(1, 0, 0, 1)
+    family = {identity: None}  # insertion-ordered set
     frontier = [identity]
     for _ in range(_ARCH_FAMILY_RADIUS):
         new_frontier = []
         for phi in frontier:
             for g in gens:
-                cand = phi.compose(g)
-                key = (cand.a, cand.b, cand.c, cand.d)
-                if key not in family:
-                    family[key] = cand
+                cand = _matrix_product(phi, g)
+                if cand not in family:
+                    family[cand] = None
                     new_frontier.append(cand)
                 if len(family) >= _ARCH_FAMILY_CAP:
-                    return list(family.values())
+                    return list(family)
         frontier = new_frontier
-    return list(family.values())
+    return list(family)
 
 
 def mobius_arch_best_ratio(F, family):

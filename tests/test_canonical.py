@@ -1,3 +1,4 @@
+import hashlib
 import math
 import random
 
@@ -119,6 +120,41 @@ def test_canonical_nonnegative_sampled():
         x = random_point(rng, 12)
         hb = canonical_height(F, x)
         assert hb.total.value >= -hb.total.err
+
+
+def _heights_panel():
+    """(map, point) pairs: for d = 2, 3, 4 one map with two Res primes and one
+    with three, each with 10 seeded points of up to 100 digits and their images."""
+    rng = random.Random(2026)
+    panel = []
+    for d in (2, 3, 4):
+        for n_primes in (2, 3):
+            while True:
+                p = [rng.randint(-9, 9) for _ in range(d + 1)]
+                q = [rng.randint(-9, 9) for _ in range(d + 1)]
+                if not any(p) or not any(q):
+                    continue
+                try:
+                    F = HomogeneousLift.from_coeffs(p, q)
+                except InputError:
+                    continue
+                if len(F.resultant_primes) == n_primes:
+                    break
+            for _ in range(10):
+                cap = 10 ** rng.randint(1, 100)
+                x = ProjPoint(rng.randint(-cap, cap), rng.randint(1, cap))
+                panel += [(F, x), (F, apply_map(F, x))]
+    return panel
+
+
+def test_canonical_height_bits_are_pinned():
+    # every (value, err) float of the panel, to the last bit: a change of the
+    # orbit kernels that moves one rounding shows here
+    panel = _heights_panel()
+    assert len(panel) == 120
+    text = "\n".join(repr(tuple(canonical_height(F, x).total[:2])) for F, x in panel)
+    digest = hashlib.sha256(text.encode()).hexdigest()
+    assert digest == "6438c1f11cf070e361530252a025ba13f725487f926ace4bd758bf00c37a2c5e"
 
 
 def test_total_equals_sum_of_per_place(z2_minus_1):

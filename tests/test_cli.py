@@ -324,8 +324,6 @@ def test_badplaces_on_a_large_resultant_prime(map_file):
 def test_badplaces_descends_from_a_large_prime(map_file):
     # z^2 + 1 conjugated by z -> 1000003 z + 5 has ord 6 at 1000003 and
     # good reduction after the descent
-    from fractions import Fraction
-
     from dynheights import HomogeneousLift, MinResCertificate, Mobius, conjugate
 
     G = conjugate(HomogeneousLift.from_coeffs([1, 0, 1], [0, 0, 1]), Mobius(1000003, 5, 0, 1))
@@ -340,7 +338,7 @@ def test_badplaces_descends_from_a_large_prime(map_file):
     assert out["bad_primes"] == [] and out["s"] == 1
     (cert,) = out["certificates"]
     assert (cert["p"], cert["ord_start"], cert["ord_min"]) == (1000003, 6, 0)
-    rows = [Fraction(e) for row in cert["conjugator"] for e in row]
+    rows = [int(e) for row in cert["conjugator"] for e in row]  # an integer matrix
     assert MinResCertificate(1000003, 6, 0, Mobius(*rows)).verify(G)
 
 
@@ -524,6 +522,19 @@ def _digest_panel(map_file):
         ("3z4/escape-inf", ["escape", *m, "--place", "inf", "--z", "[40:1]"]),
         ("3z4/height", ["height", *m, "--point", "[2:1]"]),
     ]
+    # pairs that are not coprime integer pairs: rational at infinity, and at
+    # 3 a non-coprime integer pair (below the radius: exit 2) and scaled ones
+    rational = ["--place", "inf", "--z", "[81/2:1/3]"]
+    calls += [
+        ("z2m1/escape-inf-rational", ["escape", "--map", paths["z2m1"], *rational]),
+        ("3z4/escape-inf-rational", ["escape", *m, *rational]),
+        ("3z2/escape-3-noncoprime", ["escape", "--map", paths["3z2"], "--place", "3",
+                                     "--z", "[18:6]"]),
+        ("3z2/escape-3-scaled", ["escape", "--map", paths["3z2"], "--place", "3",
+                                 "--z", "[2/243:4]", "--steps", "12"]),
+        ("3z4/escape-3-scaled", ["escape", *m, "--place", "3", "--z", "[10/27:5/9]",
+                                 "--steps", "8"]),
+    ]
     m = ["--map", map_file(NONCANON, "noncanon.json")]
     calls += [
         ("noncanon/resultant", ["resultant", *m]),
@@ -565,10 +576,12 @@ def _run_in_process(argv):
 #: moved to integers, the next 13 (escape, orbit, the non-canonical map) before
 #: every lift was made canonical on construction, the census-cap ones before
 #: the census became a single scan, the 3z4 ones before the escape test moved
-#: onto the local-height orbits, the last five before the Milnor cubic came
-#: from one resultant in the multiplier variable.  The ten energy and census
-#: JSON digests (not the CSV ones) were re-recorded when the energy table
-#: became one closed-form sum per place with a per_place split
+#: onto the local-height orbits, the next five before the Milnor cubic came
+#: from one resultant in the multiplier variable, the last five (escapes of
+#: pairs that are not coprime integer pairs) before the orbit kernels took
+#: coprime integer pairs only.  The ten energy and census JSON digests (not
+#: the CSV ones) were re-recorded when the energy table became one
+#: closed-form sum per place with a per_place split
 PINNED_DIGESTS = {
     "z2m1/resultant": (0, "811ec1753d4fb38ff572ecc90df1450a943644c18eb94ea49321e0a028114f25"),
     "z2m1/badplaces": (0, "fe216fd668d598b136827f8cc6d34f21e18ad4489ec0a61ff9b9153f80307b3f"),
@@ -632,6 +645,11 @@ PINNED_DIGESTS = {
     "huge/milnor": (0, "7ff5b013fcb2f2442456cdb1634f368e5d25e963c3f557345285acdf083e6fa8"),
     "z2pz/census": (0, "4d3a454e9b2db169f4687deb05b3e372e38dbecbdf089088dde34b84936bef66"),
     "compare-parabolic": (0, "407c8500b7a5692e2b68480a659faaec0d273362a9591469e12dae31fc767e54"),
+    "z2m1/escape-inf-rational": (0, "fcc61e45ee7024aec8c3532777db06d786b1fcfa335a382d88eaa4fe4988322a"),
+    "3z4/escape-inf-rational": (0, "8a2d7f62909e4f0f97a1d206694bec874cb44e437cfe4a4ba148af7a5dbf218d"),
+    "3z2/escape-3-noncoprime": (2, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
+    "3z2/escape-3-scaled": (0, "537e8582f3c2fa20d107fe32d4eb63be956fc7f6235e826a852408316ca3bb99"),
+    "3z4/escape-3-scaled": (0, "a717bc401e3bc59ea97dfee55817908575888053626df857a1e325326fa9e16e"),
 }
 
 
@@ -660,6 +678,21 @@ def test_main_reuses_one_parser_without_leaking_options(map_file):
     (line,) = [ln for ln in err.splitlines() if ln.startswith("manifest: ")]
     assert json.loads(line[len("manifest: "):])["budgets"] == {"budget": 10_000, "bound": None}
     assert hashlib.sha256(out.encode()).hexdigest() == PINNED_DIGESTS["z2m1/orbit"][1]
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [["green", "--x", "[2:1]", "--y", "[3:1]"], ["energy", "--points", "[2:1];[3:1]"]],
+)
+def test_iters_below_one_exit_2_at_a_good_prime(map_file, argv):
+    # 5 divides neither Res(z^2 - 1) = 1 nor the wedge, so no local height
+    # runs there; --iters 0 is refused all the same, as at infinity
+    cmd, *rest = argv
+    code, out, err = _main_in_process(
+        [cmd, "--map", map_file(Z2_MINUS_1), *rest, "--place", "5", "--iters", "0"]
+    )
+    assert (code, out) == (2, "")
+    assert "error: n_iter must be >= 1" in err
 
 
 def test_census_manifest_counts_the_energy_table(map_file):

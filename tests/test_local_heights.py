@@ -16,13 +16,14 @@ from dynheights import (
     green_pairing,
     hom_local_height,
     minimal_resultant_ord,
+    small_height_census,
     step_error_constants,
     verify_escape,
 )
 import dynheights.local_heights as local_heights
-from dynheights.arith import ord_int
+from dynheights.arith import ord_fraction, ord_int
 from dynheights.certified import log_rational_multiple
-from dynheights.local_heights import _padic_steps
+from dynheights.local_heights import _coprime_split, _padic_steps
 from dynheights.maps_core import sylvester_cofactor_pair
 
 from conftest import lift, random_lift
@@ -251,17 +252,18 @@ def test_padic_orbit_carries_only_the_digits_it_needs(z2_plus_half, monkeypatch)
 
     monkeypatch.setattr(local_heights, "gcd", recording)
     n, e = 2000, 4  # Res = 2^4
-    m0, steps = _padic_steps(z2_plus_half, Fraction(-3), Fraction(2), 2, e, n)
-    assert (m0, len(steps), sum(steps)) == (0, n, n)
+    steps = _padic_steps(z2_plus_half, -3, 2, 2, e, n)
+    assert (len(steps), sum(steps)) == (n, n)
     # 2 * 2005 bits here, against (n + 1) e + 2 = 8006 at full precision
     assert 0 < biggest.bit_length() <= 2 * (sum(steps) + e + 1)
 
 
 def test_padic_steps_match_per_form_oracle():
-    # the one-pass Horner kernel with its gcd valuation must give the step
-    # lists of the per-form loop on every (map, point, prime, n); the cases
-    # cover d = 2-4, e = 1 to beyond 4, points with m0 < 0 and m0 > 0, and
-    # orbits long enough to force precision restarts
+    # the one-pass Horner kernel with its gcd valuation, on the coprime part
+    # y of x = lam * y, must give the step lists of the per-form loop on x,
+    # and ord_p lam its m0, on every (map, point, prime, n); the cases cover
+    # d = 2-4, e = 1 to beyond 4, points with m0 < 0 and m0 > 0, and orbits
+    # long enough to force precision restarts
     rng = random.Random(1313)
     seen_e, seen_d, signs, restarts, cases = set(), set(), set(), 0, 0
     while cases < 2000:
@@ -285,7 +287,8 @@ def test_padic_steps_match_per_form_oracle():
             if x0 == 0 and x1 == 0:
                 continue
             n = rng.randint(100, 200) if rng.random() < 0.1 else rng.randint(1, 30)
-            m0, steps = _padic_steps(F, x0, x1, p, e, n)
+            lam, y0, y1 = _coprime_split((x0, x1))
+            m0, steps = ord_fraction(lam, p), _padic_steps(F, y0, y1, p, e, n)
             assert (m0, steps) == padic_steps_by_forms(F, x0, x1, p, n), (F, x0, x1, p, n)
             seen_e.add(e)
             seen_d.add(d)
@@ -319,6 +322,35 @@ def test_good_reduction_height_runs_no_orbit(z2_plus_half, monkeypatch, xt, m0):
         assert F.resultant % 3 != 0
         got = hom_local_height(F, xt, Place.finite(3), 30)
         assert got == log_rational_multiple(-m0, 3) and got.exact == (m0 == 0)
+
+
+def test_kernels_take_coprime_integer_pairs(monkeypatch):
+    # a census and escapes of rational pairs, at infinity and at a prime:
+    # every pair an orbit kernel receives is a coprime pair of ints
+    pairs = []
+
+    def recording(name):
+        kernel = getattr(local_heights, name)
+
+        def wrapped(F, y0, y1, *rest):
+            pairs.append((name, y0, y1))
+            return kernel(F, y0, y1, *rest)
+
+        return wrapped
+
+    for name in ("_arch_steps", "_padic_steps"):
+        monkeypatch.setattr(local_heights, name, recording(name))
+    sixth = lift([6, 0, 1], [0, 0, 6])  # z^2 + 1/6, Res = 2^4 3^4
+    assert small_height_census(sixth, 1.0, 1.4).searched > 0
+    three_z2 = lift([3, 0, 0], [0, 0, 1])
+    assert verify_escape(three_z2, INF, (Fraction(81, 2), Fraction(1, 3)), 10, 0.1)
+    assert verify_escape(three_z2, Place.finite(3), (Fraction(2, 243), Fraction(4)), 12, 0.1)
+    assert verify_escape(three_z2, Place.finite(3), (Fraction(10, 27), 6), 8, 0.1)
+    assert pairs[-3:] == [("_arch_steps", 243, 2), ("_padic_steps", 1, 486),
+                          ("_padic_steps", 5, 81)]
+    assert {name for name, _, _ in pairs[:-3]} == {"_arch_steps", "_padic_steps"}
+    for _, y0, y1 in pairs:
+        assert type(y0) is int and type(y1) is int and math.gcd(y0, y1) == 1, (y0, y1)
 
 
 def test_local_height_rejects_origin_and_bad_iters(monomial):

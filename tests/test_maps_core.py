@@ -21,7 +21,7 @@ from dynheights import (
     sylvester_resultant,
 )
 from dynheights.arith import ord_int, prime_factors_abs
-from dynheights.maps_core import _conjugate_forms, _integral_matrix, sylvester_matrix
+from dynheights.maps_core import _conjugate_forms, sylvester_matrix
 
 from conftest import lift, random_lift
 from oracles import (
@@ -151,25 +151,17 @@ def test_conjugate_swap_fixes_monomial(monomial, inverse_square):
 
 
 def test_conjugate_resultant_transformation():
-    # M is phi's matrix scaled to integer entries; on the raw integer conjugate
-    # M o F o adj(M), Res = det(M)^(d^2+d) Res(F), and conjugate() is its
-    # canonical lift, a lift of phi o f o phi^-1
+    # on the raw integer conjugate M o F o adj(M), Res = det(M)^(d^2+d) Res(F),
+    # and conjugate() is its canonical lift, a lift of phi o f o phi^-1
     rng = random.Random(99)
     for _ in range(15):
         d = rng.choice([2, 3])
         F = random_lift(rng, d, coeff_bound=5)
-        a = Fraction(rng.randint(1, 4))
-        b = Fraction(rng.randint(-3, 3))
-        c = Fraction(rng.randint(-3, 3), rng.randint(1, 3))
-        dd = Fraction(rng.randint(1, 4))
-        if a * dd - b * c == 0:
-            continue
-        phi = Mobius(a, b, c, dd)
-        m = _integral_matrix(phi)
+        m = ((rng.randint(1, 12), rng.randint(-9, 9)), (rng.randint(-9, 9), rng.randint(1, 12)))
         (ma, mb), (mc, md) = m
-        assert all(type(e) is int for e in (ma, mb, mc, md))
-        scale = Fraction(ma) / phi.a
-        assert (mb, mc, md) == (scale * phi.b, scale * phi.c, scale * phi.d)
+        if ma * md - mb * mc == 0:
+            continue
+        phi = Mobius(ma, mb, mc, md)
         g0, g1 = _conjugate_forms(F, m)
         P, Q = BinaryForm(tuple(g0)), BinaryForm(tuple(g1))
         assert sylvester_resultant(P, Q) == (ma * md - mb * mc) ** (d * d + d) * F.resultant
@@ -240,10 +232,16 @@ def test_projpoint_canonicalization():
 
 def test_mobius_basics():
     phi = Mobius(2, 1, 0, 1)
-    assert phi.compose(phi.inverse()).rows() == Mobius.identity().rows()
+    assert phi.compose(phi.inverse()).rows() == ((2, 0), (0, 2))  # the adjugate: det * I
     assert phi.apply(ProjPoint(1, 1)) == ProjPoint(3, 1)
+    phi = Mobius(3, 5, -2, 7)
+    assert phi.inverse().compose(phi).rows() == ((phi.det, 0), (0, phi.det))
+    assert phi.apply(ProjPoint(1, 1)) == ProjPoint(8, 5)
     with pytest.raises(InputError):
         Mobius(1, 2, 2, 4)
+    for entry in (Fraction(1, 2), Fraction(2)):  # integer matrices only
+        with pytest.raises(InputError):
+            Mobius(entry, 0, 0, 1)
 
 
 def test_place_validation():
