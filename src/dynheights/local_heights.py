@@ -22,13 +22,14 @@ entry, into lambda * y with y coprime; lambda enters through the
 homogeneity identity H(lambda y) = H(y) + log|lambda|_v, and a
 ``ProjPoint`` lift goes to the kernels as it is.  At the archimedean place
 the kernel is a float orbit with exact binary renormalization each step
-(so magnitudes never leave [1/2, 1)).  At a finite place it is a residue
-orbit mod p^r with r > e = ord_p Res(F) before every step: every step
-valuation read off is exact, so no exact rational is iterated.  Each
-p-adic step is plain integer arithmetic: one homogeneous Horner pass
-evaluates both forms, and the step valuation m is read from
-gcd(w0, w1, p^r) = p^m.  The per-step rescaling is compensated exactly
-through the same homogeneity identity.
+(so magnitudes never leave [1/2, 1)), one pass over both forms.  At a
+finite place it is a residue orbit mod p^r with r > e = ord_p Res(F)
+before every step, so every step valuation m read off is exact: one
+homogeneous Horner pass evaluates both forms, and gcd(w0, w1, p^r) = p^m.
+The rescaling is compensated through the same homogeneity identity.  This
+orbit runs only when the orbit mod p, walked in the lift's table of F mod
+p (``HomogeneousLift.residue_images``), meets a hole, a common zero of P
+and Q mod p; elsewhere every m is 0 (``_misses_holes`` has the proof).
 
 A ``LocalHeights`` memo holds each H_v(x) of one map at one series length
 and refuses a length below 1 when it is built, so no place can skip that
@@ -146,19 +147,33 @@ def _arch_steps(F: HomogeneousLift, y0: int, y1: int, n_steps: int):
     (y0, y1) is a coprime integer pair, u_0 = (y0, y1) / 2^e as floats and
     u_{k+1} = F(u_k) / 2^e', both powers of two exact, so
     log||F^n(y)|| = d^n log||y|| + sum_k d^(n-1-k) t_k while every float
-    stays near [1/2, 1).
+    stays near [1/2, 1).  Both forms come off one chain of powers of u1, in
+    the float order of one ``BinaryForm.evaluate`` per form: float(c) per
+    nonzero c, (c u0^i) u1^(d-i) summed up from 0.0, so t_k is bit-identical.
     """
     d = F.d
+    terms = [(float(a), float(b), d - i) for i, (a, b) in enumerate(zip(F.P.coeffs, F.Q.coeffs))]
+    log, frexp, ldexp, powers = math.log, math.frexp, math.ldexp, range(d)
     scale = 1 << (max(abs(y0), abs(y1)).bit_length() - 1)
     u0, u1 = y0 / scale, y1 / scale  # correctly rounded, whatever the size of y
+    log_u = log(max(abs(u0), abs(u1)))
     for _ in range(n_steps):
-        w0, w1 = F.P.evaluate(u0, u1), F.Q.evaluate(u0, u1)
+        ys, y, x, w0, w1 = [1.0], 1.0, 1.0, 0.0, 0.0
+        for _ in powers:
+            y *= u1
+            ys.append(y)
+        for a, b, j in terms:  # x = u0^i, the chain of BinaryForm.evaluate
+            if a:
+                w0 += a * x * ys[j]
+            if b:
+                w1 += b * x * ys[j]
+            x *= u0
         nw = max(abs(w0), abs(w1))
-        if nw == 0.0 or math.isinf(nw) or math.isnan(nw):
+        if not 0.0 < nw < math.inf:  # also false on a NaN
             raise ArithmeticError("archimedean iteration left the certified float range")
-        yield math.log(nw) - d * math.log(max(abs(u0), abs(u1)))
-        _, ex = math.frexp(nw)
-        u0, u1 = math.ldexp(w0, -ex), math.ldexp(w1, -ex)
+        yield log(nw) - d * log_u
+        mant, ex = frexp(nw)  # mant is max(|u0|, |u1|) of the next point, exactly
+        u0, u1, log_u = ldexp(w0, -ex), ldexp(w1, -ex), log(mant)
 
 
 def _padic_steps(F: HomogeneousLift, y0: int, y1: int, p: int, e: int, n_steps: int) -> list:
@@ -233,17 +248,41 @@ def _arch_local_height(F: HomogeneousLift, lam, y0: int, y1: int, n_iter: int):
     return CertifiedValue(log0.value + acc, err)
 
 
+def _misses_holes(F: HomogeneousLift, p: int, y0: int, y1: int, n: int) -> bool:
+    """Whether the first n orbit points of [y0:y1] mod p miss the holes (the
+    common zeros of P and Q mod p), i.e. ``_padic_steps`` gives all zeros.
+
+    Proof: a p-adic pair u with a unit entry has F(u) = F(u mod p) mod p, of
+    positive order exactly at a hole and elsewhere again with a unit entry;
+    so by induction m_1 = ... = m_k = 0 while u_0 .. u_(k-1) mod p miss the
+    holes, each u_k reducing to the next orbit point.  F mod p is read from
+    ``F.residue_images[p]`` and evaluated only on a residue it lacks.
+    """
+    images, y1p = F.residue_images.setdefault(p, {}), y1 % p
+    r = y0 % p * pow(y1p, -1, p) % p if y1p else p
+    for _ in range(n):
+        if r not in images:
+            x0, x1 = (1, 0) if r == p else (r, 1)
+            a, b = F.P.evaluate(x0, x1) % p, F.Q.evaluate(x0, x1) % p
+            images[r] = a * pow(b, -1, p) % p if b else (p if a else -1)
+        r = images[r]
+        if r < 0:
+            return False
+    return True
+
+
 def _padic_local_height(F: HomogeneousLift, lam, y0: int, y1: int, p: int, n_iter: int):
     d = F.d
     e = ord_int(F.resultant, p)
     m0 = ord_fraction(lam, p)  # ||lam y||_p = p^-m0, y coprime
     if e == 0:  # every step valuation is 0: H = -m0 log p, no truncation, no orbit
         return log_rational_multiple(-m0, p)
-    # H = -m0 - sum_{k=1..n} m_k / d^k; Horner keeps the integer numerator
-    # over d^n, so no Fraction arithmetic runs per step
+    # H = -m0 - sum_{k=1..n} m_k / d^k, an integer over d^n by Horner (no
+    # Fraction per step); an orbit missing the holes mod p has every m_k = 0
     num = 0
-    for m in _padic_steps(F, y0, y1, p, e, n_iter):
-        num = num * d - m
+    if not _misses_holes(F, p, y0, y1, n_iter):
+        for m in _padic_steps(F, y0, y1, p, e, n_iter):
+            num = num * d - m
     cv = log_rational_multiple(Fraction(num, d**n_iter) - m0, p)
     tail = _series_tail(e * math.log(p), d, n_iter)
     return cv.widen(_up(tail))

@@ -21,9 +21,9 @@ Conventions fixed here and used by every other module:
 * ``conjugate(F, phi)`` is the canonical lift of phi o f o phi^{-1};
   computed over the integers as M o F o adj(M), with M the matrix of phi
   (adj(M) is the same projective map as M^{-1}).
-* A ``HomogeneousLift`` is the per-map context: its resultant, the primes
-  dividing it and the cofactor bound A' are computed once, on first use,
-  and cached on the (immutable) lift.
+* A ``HomogeneousLift`` is the per-map context: its resultant, its factored
+  resultant and the cofactor bound A' are computed once, on first use, and
+  cached on the (immutable) lift, as is F mod p, one visited residue at a time.
 """
 
 from __future__ import annotations
@@ -269,10 +269,21 @@ class HomogeneousLift:
         return sylvester_resultant(self.P, self.Q)
 
     @cached_property
+    def resultant_factorization(self) -> dict:
+        """{p: ord_p Res}, factored once; code at one given prime uses ord_int."""
+        return prime_factors_abs(self.resultant)
+
+    @cached_property
     def resultant_primes(self) -> tuple:
         """Sorted primes dividing Res: the only places where the lift can
         reduce badly, or a coprime point have a nonzero local height."""
-        return tuple(sorted(prime_factors_abs(self.resultant)))
+        return tuple(sorted(self.resultant_factorization))
+
+    @cached_property
+    def residue_images(self) -> dict:
+        """{p: {r: s}}: F mod p on the residues met so far, [r:1] for r < p and
+        [1:0] for r = p; s is the image, or -1 at a hole (P, Q both 0 mod p)."""
+        return {}
 
     @cached_property
     def places(self) -> tuple:

@@ -14,7 +14,9 @@ with binomial coefficients, then canonicalized and its resultant taken.  The p-a
 iterates exact Fractions, where the library reads valuations off a residue
 orbit; the per-form residue orbit evaluates P and Q one at a time and takes
 each valuation by repeated division, where the library runs one Horner pass
-for both forms and one gcd with p^r.  The pairing oracle recomputes the
+for both forms and one gcd with p^r; the per-form float orbit likewise calls
+``BinaryForm.evaluate`` once per form and step, where the library reads both
+forms off one chain of powers.  The pairing oracle recomputes the
 wedge and the resultant term for every (pair, place) term, over the places
 found by factoring each wedge, where the energy table takes one closed-form
 sum per place from the product of the wedges and factors no wedge.  The
@@ -396,6 +398,28 @@ def padic_steps_by_forms(F, x0: Fraction, x1: Fraction, p: int, n_steps: int):
         if len(steps) == n_steps:
             return m0, steps
         precision = min(2 * precision, full)
+
+
+def arch_steps_by_forms(F, y0: int, y1: int, n_steps: int):
+    """The t_k of ``local_heights._arch_steps``, one form at a time.
+
+    The same binary-renormalized float orbit from the same start, but each
+    step evaluates P and Q by two ``BinaryForm.evaluate`` calls at the float
+    pair, and the norm of u_k is taken from u_k itself, where the library
+    reads both forms off one shared chain of powers and takes the next norm
+    from the frexp mantissa.  The floats must agree bit for bit.
+    """
+    d = F.d
+    scale = 1 << (max(abs(y0), abs(y1)).bit_length() - 1)
+    u0, u1 = y0 / scale, y1 / scale
+    for _ in range(n_steps):
+        w0, w1 = F.P.evaluate(u0, u1), F.Q.evaluate(u0, u1)
+        nw = max(abs(w0), abs(w1))
+        if nw == 0.0 or math.isinf(nw) or math.isnan(nw):
+            raise ArithmeticError("archimedean iteration left the certified float range")
+        yield math.log(nw) - d * math.log(max(abs(u0), abs(u1)))
+        _, ex = math.frexp(nw)
+        u0, u1 = math.ldexp(w0, -ex), math.ldexp(w1, -ex)
 
 
 def _ord_int(n: int, p: int) -> int:

@@ -104,6 +104,7 @@ def test_heights_shaped_maps_factor_and_satisfy_the_functional_equation():
                 primes = _res_primes_up_to_1000(F.resultant)
                 if primes is not None and len(primes) == n_primes:
                     break
+            assert F.resultant_factorization == factorint(abs(F.resultant))
             assert F.resultant_primes == tuple(sorted(factorint(abs(F.resultant))))
             top = 10 ** (100 // d)
             x = ProjPoint(rng.randint(-top, top), rng.randint(1, top))

@@ -7,10 +7,12 @@ import pytest
 from dynheights import (
     DiagonalPairingError,
     EscapePreconditionError,
+    HomogeneousLift,
     InputError,
     Mobius,
     Place,
     ProjPoint,
+    canonical_height,
     conjugate,
     escape_radius,
     green_pairing,
@@ -23,11 +25,12 @@ from dynheights import (
 import dynheights.local_heights as local_heights
 from dynheights.arith import ord_fraction, ord_int
 from dynheights.certified import log_rational_multiple
-from dynheights.local_heights import _coprime_split, _padic_steps
-from dynheights.maps_core import sylvester_cofactor_pair
+from dynheights.local_heights import _arch_steps, _coprime_split, _misses_holes, _padic_steps
+from dynheights.maps_core import BinaryForm, sylvester_cofactor_pair
 
 from conftest import lift, random_lift
 from oracles import (
+    arch_steps_by_forms,
     exact_padic_escape,
     local_height_arch_oracle,
     local_height_padic_oracle,
@@ -299,6 +302,183 @@ def test_padic_steps_match_per_form_oracle():
             cases += 1
     assert seen_d == {2, 3, 4} and {1, 2, 3, 4} <= seen_e and signs == {-1, 0, 1}
     assert restarts >= 100
+
+
+def _residue_image(F, p, r):
+    """F mod p at the residue r of P^1(F_p) (r = p is [1:0]); -1 at a hole."""
+    x0, x1 = (1, 0) if r == p else (r, 1)
+    a, b = F.P.evaluate(x0, x1) % p, F.Q.evaluate(x0, x1) % p
+    if a == b == 0:
+        return -1
+    return p if b == 0 else a * pow(b, -1, p) % p
+
+
+def _pair_over(rng, p, r):
+    """A random coprime integer pair (sign and size vary) reducing to residue r."""
+    k, j = rng.randint(0, 10**rng.randint(1, 30)), rng.randint(0, 9)
+    y0, y1 = (1 + p * k, p * j) if r == p else (r + p * k, 1 + p * j)
+    g = rng.choice([1, -1]) * math.gcd(y0, y1)  # a unit at p: [y0:y1] mod p stays r
+    return y0 // g, y1 // g
+
+
+def test_misses_holes_is_exactly_an_all_zero_orbit():
+    # _misses_holes must say True exactly when the residue kernel's step
+    # valuations are all 0.  Each map gets one or two holes mod p (roots of
+    # a factor H of both forms mod p, at infinity too), and the starting
+    # residues include the holes, points that reach a hole at the last step
+    # checked (n - 1 steps away) or just after it (n steps away), and
+    # random ones
+    rng = random.Random(2828)
+    cases, seen = 0, {True: 0, False: 0}
+    edges = set()
+    while cases < 2400:
+        d = rng.choice([2, 3, 4])
+        p = rng.choice([2, 3, 991, 997, 1009])
+        roots = [rng.choice([p] + list(range(p))) for _ in range(rng.randint(1, 2))]
+        H = [1]  # ascending in x: the product of x - r y, or of y for r = p
+        for r in roots:
+            factor = [1, 0] if r == p else [-r, 1]
+            H = [sum(H[i] * factor[k - i] for i in range(len(H)) if 0 <= k - i < len(factor))
+                 for k in range(len(H) + len(factor) - 1)]
+        H += [0] * (d + 1 - len(H))
+        deg_h = len(roots)
+
+        def times_h(rest):  # H * rest, rest of degree d - deg_h, ascending
+            return [sum(H[i] * rest[k - i] for i in range(k + 1) if k - i < len(rest))
+                    for k in range(d + 1)]
+
+        P = times_h([rng.randint(-5, 5) for _ in range(d - deg_h + 1)])
+        Q = times_h([rng.randint(-5, 5) for _ in range(d - deg_h + 1)])
+        P = [a + p * rng.randint(-2, 2) for a in P]
+        Q = [b + p * rng.randint(-2, 2) for b in Q]
+        try:
+            F = HomogeneousLift.from_coeffs(P, Q)
+        except (InputError, ArithmeticError):
+            continue
+        e = ord_int(F.resultant, p)
+        if e == 0:  # the lift's content swallowed the holes
+            continue
+        image = {r: _residue_image(F, p, r) for r in range(p + 1)}
+        dist = {}
+        for r in image:  # steps from r to its first hole, None if it never gets there
+            seen_r, k, cur = set(), 0, r
+            while image[cur] >= 0 and cur not in seen_r:
+                seen_r.add(cur)
+                cur, k = image[cur], k + 1
+            dist[r] = k if image[cur] < 0 else None
+        for _ in range(12):
+            n = rng.choice([1, 5, 30])
+            wanted = rng.choice([0, n - 1, n, None, "random"])
+            pool = [r for r in image if wanted == "random" or dist[r] == wanted]
+            r = rng.choice(pool or list(image))
+            y0, y1 = _pair_over(rng, p, r)
+            steps = _padic_steps(F, y0, y1, p, e, n)
+            got = _misses_holes(F, p, y0, y1, n)
+            assert got == (not any(steps)), (F, p, y0, y1, n, steps)
+            if not got:  # the first positive valuation sits at the first hole
+                assert next(k for k, m in enumerate(steps) if m) == dist[r]
+            seen[got] += 1
+            if dist[r] is not None and dist[r] in (n - 1, n):
+                edges.add((n, dist[r] - n))
+            cases += 1
+    assert min(seen.values()) >= 600
+    assert {(5, -1), (5, 0), (30, -1), (30, 0), (1, 0), (1, -1)} <= edges
+
+
+def test_arch_steps_are_the_per_form_floats_bit_for_bit():
+    # the one-pass kernel against two BinaryForm.evaluate calls per step,
+    # on maps with zero coefficients and coefficients above 2^53, and points
+    # of up to 300 digits; a coefficient above the float range must stop
+    # both with the same error at the same step
+    rng = random.Random(2929)
+    big, zeros, errors = 0, 0, 0
+    for _ in range(1200):
+        d = rng.choice([2, 3, 4])
+        bound = rng.choice([9, 2**53, 2**80, 10**40, 10**40, 10**40, 10**40, 10**400])
+
+        def coeff():
+            return 0 if rng.random() < 0.3 else rng.randint(-bound, bound)
+
+        try:
+            F = HomogeneousLift.from_coeffs([coeff() for _ in range(d + 1)],
+                                            [coeff() for _ in range(d + 1)])
+        except (InputError, ArithmeticError):
+            continue
+        y0, y1 = (rng.randint(-10**rng.randint(1, 300), 10**rng.randint(1, 300)) for _ in range(2))
+        g = math.gcd(y0, y1)
+        if g == 0:
+            continue
+        y0, y1, n = y0 // g, y1 // g, rng.randint(1, 40)
+        runs = []
+        for kernel in (_arch_steps, arch_steps_by_forms):
+            out = []
+            try:
+                out.extend(repr(t) for t in kernel(F, y0, y1, n))
+            except ArithmeticError as exc:  # OverflowError included
+                out.append(type(exc).__name__)
+            runs.append(out)
+        assert runs[0] == runs[1], (F, y0, y1, n)
+        big += F.max_abs_coeff() > 2**53
+        zeros += 0 in F.P.coeffs + F.Q.coeffs
+        errors += runs[0][-1:] == ["OverflowError"]
+    assert big >= 300 and zeros >= 300 and errors >= 20
+
+
+def test_residue_tables_stay_within_their_bounds(monkeypatch):
+    # after the points of one map each prime's table holds at most p + 1
+    # residues; a second pass over the same points evaluates F mod p zero
+    # times; and one height on the map with a 10-digit Res prime stores at
+    # most n_iter + 1 residues for it
+    calls = 0
+    evaluate = BinaryForm.evaluate
+
+    def counting(self, x, y):
+        nonlocal calls
+        calls += 1
+        return evaluate(self, x, y)
+
+    monkeypatch.setattr(BinaryForm, "evaluate", counting)
+    F = lift([-7, 3, -1, 0], [-3, 7, -3, -2])  # Res = 5544 = 2^3 3^2 7 11
+    assert F.resultant_factorization == {2: 3, 3: 2, 7: 1, 11: 1}
+    rng = random.Random(3030)
+    points = [ProjPoint(rng.randint(-10**12, 10**12), rng.randint(1, 10**12)) for _ in range(150)]
+    for x in points:
+        canonical_height(F, x)
+    assert calls > 0 and set(F.residue_images) == set(F.resultant_primes)
+    for p, images in F.residue_images.items():
+        assert p in F.resultant_primes and len(images) <= p + 1
+        assert set(images) <= set(range(p + 1)) and set(images.values()) <= set(range(-1, p + 1))
+    calls = 0
+    for x in points:
+        canonical_height(F, x)
+    assert calls == 0
+    G = HomogeneousLift.from_coeffs([-513, 213, 114], [-733, -243, 875])
+    assert G.resultant_factorization == {3: 2, 8149259477: 1}
+    for n_iter in (5, 30):
+        H = HomogeneousLift(G.P, G.Q)  # a fresh lift: an empty table
+        canonical_height(H, ProjPoint(123456789, 1000003), n_iter)
+        assert 0 < len(H.residue_images[8149259477]) <= n_iter + 1
+
+
+def test_one_place_never_factors_the_resultant(monkeypatch):
+    # a height, pairing, step constant, radius or escape at one finite place
+    # reads ord_p Res alone: factoring Res can stall (a 1,040-digit Res with
+    # a large composite cofactor does), and nothing at one place needs it
+    import dynheights.maps_core as maps_core
+
+    def refuse(n):
+        raise AssertionError("Res was factored")
+
+    monkeypatch.setattr(maps_core, "prime_factors_abs", refuse)
+    F = lift([2, 0, 1], [0, 0, 2])  # z^2 + 1/2, Res = 2^4
+    for p in (2, 3):
+        v = Place.finite(p)
+        hom_local_height(F, (Fraction(1, 4), 3), v, 30)
+        green_pairing(F, ProjPoint(1, 2), ProjPoint(2, 1), v)
+        step_error_constants(F, v)
+        escape_radius(F, v)
+    assert verify_escape(F, Place.finite(2), (Fraction(1, 64), 1), 20, 0.5)
+    assert "resultant_factorization" not in vars(F)
 
 
 @pytest.mark.parametrize(
