@@ -126,9 +126,11 @@ def log_rational_multiple(q, p: int) -> CertifiedValue:
         q = Fraction(q)
     if q == 0:
         return CertifiedValue.exact_zero()
-    lp = math.log(p)
-    qf = float(q)
-    value = qf * lp
+    return log_float_multiple(float(q), math.log(p))
+
+
+def log_float_multiple(qf: float, log_p: float) -> CertifiedValue:
+    """``log_rational_multiple(q, p)`` from qf = float(q), q != 0, and math.log(p)."""
+    value = qf * log_p
     # |float(q) - q| <= eps*|q|, |log p| faithful to ~1 ulp, one multiply.
-    err = _up(6.0 * _EPS * abs(value) + 1e-320)
-    return CertifiedValue(value, err)
+    return CertifiedValue(value, _up(6.0 * _EPS * abs(value) + 1e-320))

@@ -15,21 +15,22 @@ canonical (content-1) lift F are integers, giving ||F(z)||_p >= |Res(F)|_p
 the archimedean place with A' an exact bound on the cofactor forms over
 the unit ball.
 
-Each place has one orbit kernel, read by both the local height and the
-escape test (``verify_escape``), and each kernel takes a coprime integer
-pair.  A pair given with rational entries is split once, at the public
-entry, into lambda * y with y coprime; lambda enters through the
-homogeneity identity H(lambda y) = H(y) + log|lambda|_v, and a
-``ProjPoint`` lift goes to the kernels as it is.  At the archimedean place
-the kernel is a float orbit with exact binary renormalization each step
-(so magnitudes never leave [1/2, 1)), one pass over both forms.  At a
-finite place it is a residue orbit mod p^r with r > e = ord_p Res(F)
-before every step, so every step valuation m read off is exact: one
-homogeneous Horner pass evaluates both forms, and gcd(w0, w1, p^r) = p^m.
-The rescaling is compensated through the same homogeneity identity.  This
-orbit runs only when the orbit mod p, walked in the lift's table of F mod
-p (``HomogeneousLift.residue_images``), meets a hole, a common zero of P
-and Q mod p; elsewhere every m is 0 (``_misses_holes`` has the proof).
+Each place has one orbit kernel, read by the local height and the escape
+test (``verify_escape``), on a coprime integer pair y (a rational pair is
+split once into lambda y, and H(lambda y) = H(y) + log|lambda|_v).  What a
+place needs of the lift is built there once, in a context kept on the lift.
+
+* At infinity the kernel is a float orbit with exact binary renormalization,
+  compiled per lift into straight-line code in the float order of one
+  ``BinaryForm.evaluate`` per form (float(c) once per nonzero c, powers by
+  repeated multiplication, (c u0^i) u1^(d-i) summed up from 0.0 in
+  ascending i), so each t_k is bit-identical to that loop's.
+* At p it is a residue orbit mod p^r, r > e = ord_p Res(F) before every
+  step, so each step valuation m is exact: one Horner pass evaluates both
+  forms; a unit residue (most steps) ends the step with m = 0, else both
+  residues are divided by p while they stay divisible.  It runs only when
+  the orbit mod p meets a hole (a common zero of P and Q mod p), which one
+  lookup in the context's table of hole distances decides.
 
 A ``LocalHeights`` memo holds each H_v(x) of one map at one series length
 and refuses a length below 1 when it is built, so no place can skip that
@@ -41,19 +42,22 @@ its own.  Every entry defaults to ``DEFAULT_ITERS`` terms.
 from __future__ import annotations
 
 import math
+import weakref
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from math import gcd
 
 from .arith import ord_fraction, ord_int
-from .certified import _EPS, CertifiedValue, _up, log_abs_certified, log_rational_multiple
+from .certified import _EPS, CertifiedValue, _up, log_abs_certified, log_float_multiple
+from .certified import log_rational_multiple
 from .errors import DiagonalPairingError, EscapePreconditionError, InputError
 from .maps_core import HomogeneousLift, Place, ProjPoint
 
 DEFAULT_ITERS = 30
 
 # ---------------------------------------------------------------------------
-# Step error constants and escape radii
+# Step error constants, escape radii and place contexts
 # ---------------------------------------------------------------------------
 
 
@@ -83,7 +87,8 @@ class EscapeRadius:
 
 
 def step_error_constants(F: HomogeneousLift, v: Place) -> StepErrorConstant:
-    """Certified per-step bounds for the local height telescoping series."""
+    """Certified per-step bounds for the local height telescoping series (at
+    infinity computed here once per lift, for its place context)."""
     d = F.d
     if v.is_archimedean:
         U = _up(math.log((d + 1) * F.max_abs_coeff()))
@@ -93,11 +98,8 @@ def step_error_constants(F: HomogeneousLift, v: Place) -> StepErrorConstant:
         )
         L = math.nextafter(L - 4.0 * _EPS * (abs(L) + 1.0), -math.inf)
         return StepErrorConstant(v, U, min(L, 0.0))
-    p = v.prime
-    e = ord_int(F.resultant, p)
-    if e == 0:
-        return StepErrorConstant(v, 0.0, 0.0)
-    L = math.nextafter(-(e * math.log(p)) * (1.0 + 4.0 * _EPS), -math.inf)
+    ctx = _context(F, v.prime)
+    L = math.nextafter(-(ctx.e * ctx.log_p) * (1.0 + 4.0 * _EPS), -math.inf) if ctx.e else 0.0
     return StepErrorConstant(v, 0.0, L)
 
 
@@ -108,22 +110,79 @@ def escape_radius(F: HomogeneousLift, v: Place) -> EscapeRadius:
     Archimedean: max(1, (2A'/|Res(F)|)^(1/(d-1))) with A' the exact
     cofactor bound.
     """
-    d = F.d
-    if v.is_archimedean:
-        r = (2.0 * F.cofactor_bound / abs(F.resultant)) ** (1.0 / (d - 1))
-        return EscapeRadius(v, max(1.0, _up(r)))
-    e = ord_int(F.resultant, v.prime)
-    return EscapeRadius(v, float(v.prime) ** (e / (d - 1)))
+    return _context(F, v.prime).radius
+
+
+class _PlaceContext:
+    """One place of one lift (p = None at infinity).  At p: e, log p, the
+    Horner coefficients and the hole distances, residue -> steps before its
+    orbit meets a hole (inf: never; -k: at least k).  The rest is built on
+    first use, so a coefficient beyond the float range fails there."""
+
+    def __init__(self, F: HomogeneousLift, p):
+        self._lift, self.p, self._series = weakref.ref(F), p, {}  # F holds its contexts
+        if p is not None:
+            self.e, self.log_p, self.hole_distance = ord_int(F.resultant, p), math.log(p), {}
+            cp, cq = F.P.descending(), F.Q.descending()
+            self.head, self.tail = (cp[0], cq[0]), tuple(zip(cp[1:], cq[1:]))
+
+    F = property(lambda self: self._lift())
+
+    @cached_property
+    def const(self) -> StepErrorConstant:
+        return step_error_constants(self.F, Place.archimedean())
+
+    @cached_property
+    def steps(self):
+        """The archimedean kernel: ``_ARCH_STEPS_SOURCE`` unrolled over d and the
+        nonzero c, each a name bound to float(c) (``namedtuple``'s exec idiom);
+        term i is (c x_i) y_(d-i), its exact products by 1.0 left out."""
+        d, names, sums = self.F.d, {"log": math.log, "frexp": math.frexp,
+                                    "ldexp": math.ldexp, "inf": math.inf}, []
+        for form, c_name in ((self.F.P, "p"), (self.F.Q, "q")):
+            terms = ["0.0"]
+            for i, c in enumerate(form.coeffs):
+                if c:
+                    names[f"{c_name}{i}"] = float(c)
+                    terms.append(" * ".join([f"{c_name}{i}"] + [f"x{i}"] * (i > 0)
+                                            + [f"y{d - i}"] * (i < d)))
+            sums.append(" + ".join(terms))
+        chain = "".join(f"        {v}{k} = {v}{k - 1} * {v}1\n"
+                        for v in "xy" for k in range(2, d + 1))
+        exec(_ARCH_STEPS_SOURCE.format(chain=chain, w0=sums[0], w1=sums[1], d=d), names)
+        return names["steps"]
+
+    @cached_property
+    def radius(self) -> EscapeRadius:
+        F, p = self.F, self.p
+        if p is not None:
+            return EscapeRadius(Place.finite(p), float(p) ** (self.e / (F.d - 1)))
+        r = (2.0 * F.cofactor_bound / abs(F.resultant)) ** (1.0 / (F.d - 1))
+        return EscapeRadius(Place.archimedean(), max(1.0, _up(r)))
+
+    def series(self, n_iter: int) -> tuple:
+        """(d^n, the tail bound / (d^n (d - 1)) rounded up, and 0 widened by it)
+        at n terms; the tail is one correctly rounded integer division, so d^n
+        may exceed the float range (from n = 1024 at d = 2)."""
+        s = self._series.get(n_iter)
+        if s is None:
+            d, dn = self.F.d, self.F.d**n_iter
+            num, den = (self.const.magnitude() if self.p is None
+                        else self.e * self.log_p).as_integer_ratio()
+            tail = _up(num / (den * dn * (d - 1)))
+            s = self._series[n_iter] = (dn, tail, CertifiedValue.exact_zero().widen(tail))
+        return s
+
+
+def _context(F: HomogeneousLift, p) -> _PlaceContext:
+    """The place context of F at the prime p, or at infinity for p = None."""
+    ctx = F.place_contexts.get(p)
+    return ctx if ctx is not None else F.place_contexts.setdefault(p, _PlaceContext(F, p))
 
 
 # ---------------------------------------------------------------------------
 # Orbit kernels: one renormalized orbit per place
 # ---------------------------------------------------------------------------
-
-
-def _binary_exponent(x) -> int:
-    """e with x / 2^e in [1/2, 2); x > 0 an int or Fraction."""
-    return x.numerator.bit_length() - x.denominator.bit_length()
 
 
 def _coprime_split(z) -> tuple:
@@ -141,61 +200,45 @@ def _coprime_split(z) -> tuple:
     return (g if den == 1 else Fraction(g, den)), z0 // g, z1 // g
 
 
-def _arch_steps(F: HomogeneousLift, y0: int, y1: int, n_steps: int):
-    """Yield t_k = log||F(u_k)|| - d log||u_k|| for k = 0 .. n_steps - 1.
-
-    (y0, y1) is a coprime integer pair, u_0 = (y0, y1) / 2^e as floats and
-    u_{k+1} = F(u_k) / 2^e', both powers of two exact, so
-    log||F^n(y)|| = d^n log||y|| + sum_k d^(n-1-k) t_k while every float
-    stays near [1/2, 1).  Both forms come off one chain of powers of u1, in
-    the float order of one ``BinaryForm.evaluate`` per form: float(c) per
-    nonzero c, (c u0^i) u1^(d-i) summed up from 0.0, so t_k is bit-identical.
-    """
-    d = F.d
-    terms = [(float(a), float(b), d - i) for i, (a, b) in enumerate(zip(F.P.coeffs, F.Q.coeffs))]
-    log, frexp, ldexp, powers = math.log, math.frexp, math.ldexp, range(d)
-    scale = 1 << (max(abs(y0), abs(y1)).bit_length() - 1)
-    u0, u1 = y0 / scale, y1 / scale  # correctly rounded, whatever the size of y
-    log_u = log(max(abs(u0), abs(u1)))
+_ARCH_STEPS_SOURCE = """\
+def steps(z0, z1, n_steps):
+    scale = 1 << (max(abs(z0), abs(z1)).bit_length() - 1)
+    x1, y1 = z0 / scale, z1 / scale  # correctly rounded, whatever the size of z
+    log_u = log(max(abs(x1), abs(y1)))
     for _ in range(n_steps):
-        ys, y, x, w0, w1 = [1.0], 1.0, 1.0, 0.0, 0.0
-        for _ in powers:
-            y *= u1
-            ys.append(y)
-        for a, b, j in terms:  # x = u0^i, the chain of BinaryForm.evaluate
-            if a:
-                w0 += a * x * ys[j]
-            if b:
-                w1 += b * x * ys[j]
-            x *= u0
+{chain}        w0 = {w0}
+        w1 = {w1}
         nw = max(abs(w0), abs(w1))
-        if not 0.0 < nw < math.inf:  # also false on a NaN
+        if not 0.0 < nw < inf:  # also false on a NaN
             raise ArithmeticError("archimedean iteration left the certified float range")
-        yield log(nw) - d * log_u
-        mant, ex = frexp(nw)  # mant is max(|u0|, |u1|) of the next point, exactly
-        u0, u1, log_u = ldexp(w0, -ex), ldexp(w1, -ex), log(mant)
+        yield log(nw) - {d} * log_u
+        mant, ex = frexp(nw)  # mant is max(|x1|, |y1|) of the next point, exactly
+        x1, y1, log_u = ldexp(w0, -ex), ldexp(w1, -ex), log(mant)
+"""
 
 
-def _padic_steps(F: HomogeneousLift, y0: int, y1: int, p: int, e: int, n_steps: int) -> list:
+def _arch_steps(F: HomogeneousLift, y0: int, y1: int, n_steps: int):
+    """Yield t_k = log||F(u_k)|| - d log||u_k|| for k = 0 .. n_steps - 1, from
+    the lift's compiled kernel: u_0 = y / 2^e as floats and u_{k+1} =
+    F(u_k) / 2^e', so log||F^n(y)|| = d^n log||y|| + sum_k d^(n-1-k) t_k."""
+    return _context(F, None).steps(y0, y1, n_steps)
+
+
+def _padic_steps(F: HomogeneousLift, y0: int, y1: int, p: int, n_steps: int) -> list:
     """[m_1, ..., m_n] for a coprime integer pair y: m_k is the valuation of
     F(u_(k-1)), u_0 = y and u_k = F(u_(k-1)) / p^m_k, so that
     ||F^n(y)||_p = p^-(sum_k d^(n-k) m_k).
 
     Every m_k <= e = ord_p Res(F) (cofactor identity), so a valuation read
     off mod p^r, r > e, is exact.  The orbit runs mod p^r, dropping m_k
-    digits per step, from r = min(2e + 2, (n+1)e + 2); when e or fewer
-    digits remain before a step it restarts at double the precision.
-
-    Each step evaluates both forms in one homogeneous Horner pass over a
-    shared chain of powers of the second coordinate, and reads m_k from one
-    gcd: the modulus is a power of p, so gcd(w0, w1, p^r) = p^m_k exactly
-    (p^r itself when both residues vanish).
+    digits per step, from r = min((n+1)e + 2, max(2e + 2, 62 // bits(p))),
+    about a machine word, and restarts at double the precision when e or
+    fewer digits remain.  A count past e (both residues 0 included) raises.
     """
-    cp, cq = F.P.descending(), F.Q.descending()
-    head_p, head_q, tail = cp[0], cq[0], tuple(zip(cp[1:], cq[1:]))
-    exponent = {p**k: k for k in range(e + 1)}  # a gcd outside it means m > e
+    ctx = _context(F, p)
+    e, (head_p, head_q), tail = ctx.e, ctx.head, ctx.tail
     full = (n_steps + 1) * e + 2  # here remaining > e before every step: no restart
-    precision = min(2 * e + 2, full)
+    precision = min(full, max(2 * e + 2, 62 // p.bit_length()))
     while True:
         remaining, modulus = precision, p**precision
         z0, z1 = y0 % modulus, y1 % modulus
@@ -206,15 +249,20 @@ def _padic_steps(F: HomogeneousLift, y0: int, y1: int, p: int, e: int, n_steps: 
                 yp *= z1
                 a = a * z0 + c_p * yp
                 b = b * z0 + c_q * yp
-            w0, w1 = a % modulus, b % modulus
-            shift = gcd(w0, w1, modulus)
-            m = exponent.get(shift)
-            if m is None:  # impossible for a unit-content lift; guards precision bugs
+            z0, z1 = a % modulus, b % modulus
+            if z0 % p or z1 % p:
+                steps.append(0)
+                continue
+            m = 1
+            z0, z1 = z0 // p, z1 // p
+            while m <= e and not (z0 % p or z1 % p):
+                m += 1
+                z0, z1 = z0 // p, z1 // p
+            if m > e:  # impossible for a unit-content lift; guards precision bugs
                 raise ArithmeticError("p-adic step valuation exceeded its certified bound")
             steps.append(m)
             remaining -= m
-            modulus //= shift
-            z0, z1 = w0 // shift, w1 // shift  # already below the new modulus
+            modulus //= p**m  # z0, z1 are already below it
         if len(steps) == n_steps:
             return steps
         precision = min(2 * precision, full)
@@ -225,16 +273,9 @@ def _padic_steps(F: HomogeneousLift, y0: int, y1: int, p: int, e: int, n_steps: 
 # ---------------------------------------------------------------------------
 
 
-def _series_tail(bound: float, d: int, n_iter: int) -> float:
-    """bound / (d^n (d - 1)), correctly rounded: one exact integer division,
-    so d^n may exceed the float range (from n = 1024 at d = 2)."""
-    num, den = bound.as_integer_ratio()
-    return num / (den * d**n_iter * (d - 1))
-
-
 def _arch_local_height(F: HomogeneousLift, lam, y0: int, y1: int, n_iter: int):
     d = F.d
-    const = step_error_constants(F, Place.archimedean())
+    ctx = _context(F, None)
     log0 = log_abs_certified(lam * max(abs(y0), abs(y1)))  # log||lam y||, exact input
     acc = 0.0
     pad = log0.err
@@ -243,49 +284,62 @@ def _arch_local_height(F: HomogeneousLift, lam, y0: int, y1: int, n_iter: int):
         acc += weight * t
         pad += weight * 1e-14 * (1.0 + abs(t))
         weight /= d
-    tail = _series_tail(const.magnitude(), d, n_iter)
-    err = _up(_up(tail) + _up(pad) + 4.0 * _EPS * (abs(acc) + abs(log0.value)))
+    err = _up(ctx.series(n_iter)[1] + _up(pad) + 4.0 * _EPS * (abs(acc) + abs(log0.value)))
     return CertifiedValue(log0.value + acc, err)
 
 
-def _misses_holes(F: HomogeneousLift, p: int, y0: int, y1: int, n: int) -> bool:
+def _misses_holes(ctx: _PlaceContext, y0: int, y1: int, n: int) -> bool:
     """Whether the first n orbit points of [y0:y1] mod p miss the holes (the
-    common zeros of P and Q mod p), i.e. ``_padic_steps`` gives all zeros.
+    common zeros of P and Q mod p), i.e. ``_padic_steps`` gives all zeros:
+    whether the residue's hole distance is at least n.
 
     Proof: a p-adic pair u with a unit entry has F(u) = F(u mod p) mod p, of
     positive order exactly at a hole and elsewhere again with a unit entry;
     so by induction m_1 = ... = m_k = 0 while u_0 .. u_(k-1) mod p miss the
-    holes, each u_k reducing to the next orbit point.  F mod p is read from
-    ``F.residue_images[p]`` and evaluated only on a residue it lacks.
+    holes.  A new residue walks F mod p to a hole, a residue of known
+    distance or a repeat (a hole-free cycle), recording each distance.
     """
-    images, y1p = F.residue_images.setdefault(p, {}), y1 % p
+    F, p, table = ctx.F, ctx.p, ctx.hole_distance
+    y1p = y1 % p
     r = y0 % p * pow(y1p, -1, p) % p if y1p else p
-    for _ in range(n):
-        if r not in images:
-            x0, x1 = (1, 0) if r == p else (r, 1)
-            a, b = F.P.evaluate(x0, x1) % p, F.Q.evaluate(x0, x1) % p
-            images[r] = a * pow(b, -1, p) % p if b else (p if a else -1)
-        r = images[r]
-        if r < 0:
-            return False
-    return True
+    k = table.get(r)
+    if k is not None and (k >= 0 or k <= -n):  # exact, or at least n
+        return abs(k) >= n
+    cap, path = n if p >> 16 else p + 1, {}  # a walk above 2^16 stops at n; path: ordered
+    while (k := table.get(r, -1)) < 0:
+        if r in path or len(path) == cap:
+            k = math.inf if r in path else -cap
+            break
+        x0, x1 = (1, 0) if r == p else (r, 1)
+        a, b = F.P.evaluate(x0, x1) % p, F.Q.evaluate(x0, x1) % p
+        if not (a or b):
+            k = table[r] = 0
+            break
+        path[r] = None
+        r = a * pow(b, -1, p) % p if b else p
+    for j, s in enumerate(path, -len(path)):  # s is -j steps before r
+        table[s] = k - j if k >= 0 else j
+    return (k + len(path) if k >= 0 else cap) >= n
 
 
 def _padic_local_height(F: HomogeneousLift, lam, y0: int, y1: int, p: int, n_iter: int):
-    d = F.d
-    e = ord_int(F.resultant, p)
+    ctx = _context(F, p)
     m0 = ord_fraction(lam, p)  # ||lam y||_p = p^-m0, y coprime
-    if e == 0:  # every step valuation is 0: H = -m0 log p, no truncation, no orbit
+    if ctx.e == 0:  # every step valuation is 0: H = -m0 log p, no truncation, no orbit
         return log_rational_multiple(-m0, p)
-    # H = -m0 - sum_{k=1..n} m_k / d^k, an integer over d^n by Horner (no
-    # Fraction per step); an orbit missing the holes mod p has every m_k = 0
+    # H = -(m0 d^n + sum_{k=1..n} m_k d^(n-k)) / d^n log p, the numerator an
+    # integer by Horner; an orbit missing the holes mod p has every m_k = 0
+    dn, tail, zero = ctx.series(n_iter)
     num = 0
-    if not _misses_holes(F, p, y0, y1, n_iter):
-        for m in _padic_steps(F, y0, y1, p, e, n_iter):
+    if not _misses_holes(ctx, y0, y1, n_iter):
+        d = F.d
+        for m in _padic_steps(F, y0, y1, p, n_iter):
             num = num * d - m
-    cv = log_rational_multiple(Fraction(num, d**n_iter) - m0, p)
-    tail = _series_tail(e * math.log(p), d, n_iter)
-    return cv.widen(_up(tail))
+    num -= m0 * dn
+    if num == 0:
+        return zero
+    # num / dn is correctly rounded, as float(Fraction(num, dn)) is
+    return log_float_multiple(num / dn, ctx.log_p).widen(tail)
 
 
 def hom_local_height(F: HomogeneousLift, xt, v: Place, n_iter: int) -> CertifiedValue:
@@ -328,7 +382,7 @@ def green_pairing(
         total = -log_abs_certified(w)
     else:
         p = v.prime
-        if w % p != 0 and F.resultant % p != 0:
+        if w % p != 0 and _context(F, p).e == 0:
             return CertifiedValue.exact_zero()
         total = log_rational_multiple(ord_int(w, p), p)  # -log|w|_p
     total = total + height(x, v)
@@ -358,10 +412,10 @@ class LocalHeights:
     def resultant_term(self, v: Place) -> CertifiedValue:
         p = v.prime
         if p not in self._res:
-            res, c = self.F.resultant, self.F.d * (self.F.d - 1)
+            c = self.F.d * (self.F.d - 1)
             self._res[p] = (
-                -log_abs_certified(res).div_int(c) if p is None
-                else log_rational_multiple(Fraction(ord_int(res, p), c), p)
+                -log_abs_certified(self.F.resultant).div_int(c) if p is None
+                else log_rational_multiple(Fraction(_context(self.F, p).e, c), p)
             )
         return self._res[p]
 
@@ -406,7 +460,7 @@ def verify_escape(
                 f"||z|| = {float(m)} is not above (1+delta) R = {(1.0 + delta) * rad.R}"
             )
         ratio = (d - 1) * math.log1p(delta)
-        e0 = _binary_exponent(m)
+        e0 = m.numerator.bit_length() - m.denominator.bit_length()  # m / 2^e0 in [1/2, 2)
         lognorm = math.log(float(m / Fraction(2) ** e0)) + e0 * math.log(2.0)
         for t in _arch_steps(F, y0, y1, n_steps):
             # test the increment itself: once lognorm overflows to inf, the
@@ -417,7 +471,7 @@ def verify_escape(
         return True
     # finite place: all comparisons exact
     p = v.prime
-    e = ord_int(F.resultant, p)
+    e = _context(F, p).e
     big_m = ord_fraction(lam, p)  # ||z||_p = p^-big_m, y coprime
     # ||z|| > (1+delta) R  <=>  p^(-big_m (d-1) - e) > (1+delta)^(d-1)
     ratio = (1 + Fraction(delta)) ** (d - 1)  # exact float-to-rational conversion
@@ -430,7 +484,7 @@ def verify_escape(
     k_min = 1
     while p**k_min * ratio.denominator < ratio.numerator:
         k_min += 1
-    for m in _padic_steps(F, y0, y1, p, e, n_steps):
+    for m in _padic_steps(F, y0, y1, p, n_steps):
         new_big_m = d * big_m + m
         if big_m - new_big_m < k_min:
             return False

@@ -23,7 +23,8 @@ Conventions fixed here and used by every other module:
   (adj(M) is the same projective map as M^{-1}).
 * A ``HomogeneousLift`` is the per-map context: its resultant, its factored
   resultant and the cofactor bound A' are computed once, on first use, and
-  cached on the (immutable) lift, as is F mod p, one visited residue at a time.
+  cached on the (immutable) lift, as is each place's context (built by
+  ``local_heights`` on first use there, never when a map is parsed).
 """
 
 from __future__ import annotations
@@ -280,9 +281,9 @@ class HomogeneousLift:
         return tuple(sorted(self.resultant_factorization))
 
     @cached_property
-    def residue_images(self) -> dict:
-        """{p: {r: s}}: F mod p on the residues met so far, [r:1] for r < p and
-        [1:0] for r = p; s is the image, or -1 at a hole (P, Q both 0 mod p)."""
+    def place_contexts(self) -> dict:
+        """{p: context}, p = None for infinity: what ``local_heights`` needs at
+        each place met so far, built there on first use and kept with the lift."""
         return {}
 
     @cached_property
@@ -309,6 +310,9 @@ class HomogeneousLift:
     def from_coeffs(cls, p_asc, q_asc) -> "HomogeneousLift":
         """The canonical lift of the forms with these ascending coefficient lists."""
         return cls(BinaryForm(tuple(p_asc)), BinaryForm(tuple(q_asc)))
+
+    def __getstate__(self) -> dict:  # place contexts hold compiled code: rebuilt on use
+        return {k: v for k, v in vars(self).items() if k != "place_contexts"}
 
     def coefficient_vector(self) -> tuple:
         """(a_d, ..., a_0, b_d, ..., b_0): the 2d+2 coordinates of the lift."""

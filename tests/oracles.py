@@ -366,17 +366,17 @@ def padic_steps_by_forms(F, x0: Fraction, x1: Fraction, p: int, n_steps: int):
     """(m0, [m_1, ..., m_n]) of ``local_heights._padic_steps``, one form at a time.
 
     The same residue orbit mod p^r and the same precision schedule (start
-    at min(2e + 2, (n+1)e + 2), keep r > e before each step, double on a
-    restart), but each step evaluates P and Q separately and reads m_k as
-    the smaller of the two residues' valuations, a zero residue counting
-    as all r remaining digits.
+    at min((n+1)e + 2, max(2e + 2, 62 // bits(p))), keep r > e before each
+    step, double on a restart), but each step evaluates P and Q separately
+    and reads m_k as the smaller of the two residues' valuations, a zero
+    residue counting as all r remaining digits.
     """
     e = _ord_int(F.resultant, p)
     m0 = min(_ord_frac(x0, p), _ord_frac(x1, p))
     scale = Fraction(p) ** m0
     u0, u1 = x0 / scale, x1 / scale
     full = (n_steps + 1) * e + 2
-    precision = min(2 * e + 2, full)
+    precision = min(full, max(2 * e + 2, 62 // p.bit_length()))
     while True:
         remaining, modulus = precision, p**precision
         z0 = u0.numerator * pow(u0.denominator, -1, modulus) % modulus

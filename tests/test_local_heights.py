@@ -1,4 +1,5 @@
 import math
+import pickle
 import random
 from fractions import Fraction
 
@@ -12,6 +13,7 @@ from dynheights import (
     Mobius,
     Place,
     ProjPoint,
+    apply_map,
     canonical_height,
     conjugate,
     escape_radius,
@@ -178,18 +180,29 @@ def test_arch_height_oracle_stress():
     strict=True,
     reason="archimedean fault (ROADMAP item 1): the float orbit drifts past the asserted pad",
 )
-def test_arch_height_contains_the_reference_off_cycle():
-    # A point of a quartic that is not preperiodic, where the benchmark's
-    # heights workload (seed 42) sees hhat(f x) = 4 hhat(x) fail.  The float
+@pytest.mark.parametrize(
+    "p_desc, q_desc, res, point, reference",
+    [
+        # misses by 3.4e-13 with err 3.8e-14 (heights workload, seed 42)
+        ([5, -10, -12, 5, 3], [5, 0, -4, 3, 2], -74625, (-160385, 174311),
+         11.973025005859461966),
+        # misses by 9.5e-13 with err 1.99e-13 (heights workload, seed 6)
+        ([7, -7, -8, 5], [5, -2, -8, 1], -1003,
+         (80933562095533097031203029766, 208832790925770614102609228991),
+         67.90913242100914257),
+    ],
+)
+def test_arch_height_contains_the_reference_off_cycle(p_desc, q_desc, res, point, reference):
+    # Points that are not preperiodic, where the benchmark's heights
+    # workload sees hhat(f x) = d hhat(x) fail.  On the quartic the float
     # orbit's step terms drift from the exact ones by 1.7e-13 at step 2 and
     # 4e-10 at step 4, beyond the pad 1e-14 (1 + |t|).  The reference is the
     # same 30-step series on a renormalized orbit in 300-digit mpmath; its
     # truncation tail is below 1e-16.
-    F = lift([5, -10, -12, 5, 3], [5, 0, -4, 3, 2])
-    assert F.resultant == -74625
-    cv = hom_local_height(F, (-160385, 174311), INF, 30)
-    reference = 11.973025005859461966
-    assert abs(cv.value - reference) <= cv.err  # misses by 3.4e-13, err 3.8e-14
+    F = lift(p_desc, q_desc)
+    assert F.resultant == res
+    cv = hom_local_height(F, point, INF, 30)
+    assert abs(cv.value - reference) <= cv.err
 
 
 def test_local_height_homogeneity():
@@ -241,32 +254,51 @@ def test_local_height_runs_past_the_float_range_of_d_to_the_n(d, many):
         assert abs(b.value - a.value) <= a.err
 
 
-def test_padic_orbit_carries_only_the_digits_it_needs(z2_plus_half, monkeypatch):
+def test_padic_orbit_carries_only_the_digits_it_needs(z2_plus_half):
     # the residues need sum m_k + e + 1 digits, not (n + 1) e + 2; doubling
-    # the precision on a restart at most doubles that.  Every residue the
-    # kernel multiplies lies below the modulus of its gcd, so the largest
-    # modulus bounds them all
+    # the precision on a restart at most doubles that.  Every pass starts by
+    # reducing y mod p^r, and the modulus only shrinks inside a pass, so the
+    # largest modulus y is reduced by bounds every residue the kernel
+    # multiplies
     biggest = 0
 
-    def recording(*args):
-        nonlocal biggest
-        biggest = max(biggest, args[-1])
-        return math.gcd(*args)
+    class Recording(int):
+        def __mod__(self, modulus):
+            nonlocal biggest
+            biggest = max(biggest, modulus)
+            return int(self) % modulus
 
-    monkeypatch.setattr(local_heights, "gcd", recording)
     n, e = 2000, 4  # Res = 2^4
-    steps = _padic_steps(z2_plus_half, -3, 2, 2, e, n)
+    steps = _padic_steps(z2_plus_half, Recording(-3), Recording(2), 2, n)
     assert (len(steps), sum(steps)) == (n, n)
     # 2 * 2005 bits here, against (n + 1) e + 2 = 8006 at full precision
     assert 0 < biggest.bit_length() <= 2 * (sum(steps) + e + 1)
 
 
+def _check_padic_steps(F, p, x0, x1, n):
+    """The kernel's (m0, steps) on the coprime part of (x0, x1) against the
+    per-form loop on (x0, x1); returns the steps."""
+    lam, y0, y1 = _coprime_split((x0, x1))
+    m0, steps = ord_fraction(lam, p), _padic_steps(F, y0, y1, p, n)
+    assert (m0, steps) == padic_steps_by_forms(F, x0, x1, p, n), (F, x0, x1, p, n)
+    return m0, steps
+
+
+def _restarts(p, e, n, steps):
+    """Whether the kernel's first pass runs out of digits: it keeps
+    min((n + 1) e + 2, max(2e + 2, 62 // bits(p))) and needs more than e
+    left before each of the n steps."""
+    start = min((n + 1) * e + 2, max(2 * e + 2, 62 // p.bit_length()))
+    return sum(steps[:-1]) >= start - e
+
+
 def test_padic_steps_match_per_form_oracle():
-    # the one-pass Horner kernel with its gcd valuation, on the coprime part
-    # y of x = lam * y, must give the step lists of the per-form loop on x,
-    # and ord_p lam its m0, on every (map, point, prime, n); the cases cover
-    # d = 2-4, e = 1 to beyond 4, points with m0 < 0 and m0 > 0, and orbits
-    # long enough to force precision restarts
+    # the one-pass Horner kernel with its zero-valuation exit and division
+    # loop, on the coprime part y of x = lam * y, must give the step lists of
+    # the per-form loop on x, and ord_p lam its m0, on every (map, point,
+    # prime, n).  The first cases cover d = 2-4, e = 1 to beyond 4 and points
+    # with m0 < 0 and m0 > 0; the second force precision restarts (p = 2, 3
+    # at e >= 6) and run primes near 1000 into holes, at n = 1, 5, 30, 200
     rng = random.Random(1313)
     seen_e, seen_d, signs, restarts, cases = set(), set(), set(), 0, 0
     while cases < 2000:
@@ -290,18 +322,50 @@ def test_padic_steps_match_per_form_oracle():
             if x0 == 0 and x1 == 0:
                 continue
             n = rng.randint(100, 200) if rng.random() < 0.1 else rng.randint(1, 30)
-            lam, y0, y1 = _coprime_split((x0, x1))
-            m0, steps = ord_fraction(lam, p), _padic_steps(F, y0, y1, p, e, n)
-            assert (m0, steps) == padic_steps_by_forms(F, x0, x1, p, n), (F, x0, x1, p, n)
+            m0, steps = _check_padic_steps(F, p, x0, x1, n)
             seen_e.add(e)
             seen_d.add(d)
             signs.add((m0 > 0) - (m0 < 0))
-            # the first pass keeps 2e + 2 digits: it restarts when the first
-            # n - 1 steps drop e + 2 of them
-            restarts += sum(steps[:-1]) >= e + 2
+            restarts += _restarts(p, e, n, steps)
             cases += 1
     assert seen_d == {2, 3, 4} and {1, 2, 3, 4} <= seen_e and signs == {-1, 0, 1}
     assert restarts >= 100
+
+    rng = random.Random(1414)
+    restarts, deep, near, seen_n = 0, 0, 0, set()
+    while deep + near < 2000:
+        d = rng.choice([2, 3, 4])
+        if rng.random() < 0.5:  # Q divisible by p^k: ord_p Res >= k d
+            p = rng.choice([2, 3])
+            P = [rng.randint(-9, 9) for _ in range(d + 1)]
+            Q = [p ** rng.choice([2, 3]) * rng.randint(-9, 9) for _ in range(d + 1)]
+            r = rng.randrange(p + 1)
+        else:  # a hole at r: both forms divisible by x - r y mod p, plus noise
+            p = rng.choice([991, 997, 1009, 1013])
+            r = rng.randrange(p)
+            P, Q = ([rng.randint(-9, 9) for _ in range(d)] for _ in range(2))
+            P, Q = ([a - r * b for a, b in zip([0] + f, f + [0])] for f in (P, Q))
+            P, Q = ([a + p * rng.randint(-2, 2) for a in f] for f in (P, Q))
+        try:
+            F = HomogeneousLift.from_coeffs(P, Q)
+        except (InputError, ArithmeticError):
+            continue
+        e = ord_int(F.resultant, p)
+        if e < (6 if p < 5 else 1):
+            continue
+        for _ in range(8):
+            n = rng.choice([1, 5, 30, 200])
+            y0, y1 = _pair_over(rng, p, r) if rng.random() < 0.7 else (rng.randint(-99, 99), 1)
+            scale = Fraction(p) ** rng.randint(-2, 2)
+            _, steps = _check_padic_steps(F, p, y0 * scale, y1 * scale, n)
+            if p < 5:
+                deep += 1
+                restarts += _restarts(p, e, n, steps)
+            else:
+                near += any(steps)
+            seen_n.add(n)
+    assert seen_n == {1, 5, 30, 200}
+    assert deep >= 900 and restarts >= 100 and near >= 300, (deep, restarts, near)
 
 
 def _residue_image(F, p, r):
@@ -372,15 +436,26 @@ def test_misses_holes_is_exactly_an_all_zero_orbit():
             pool = [r for r in image if wanted == "random" or dist[r] == wanted]
             r = rng.choice(pool or list(image))
             y0, y1 = _pair_over(rng, p, r)
-            steps = _padic_steps(F, y0, y1, p, e, n)
-            got = _misses_holes(F, p, y0, y1, n)
+            steps = _padic_steps(F, y0, y1, p, n)
+            got = _misses_holes(local_heights._context(F, p), y0, y1, n)
             assert got == (not any(steps)), (F, p, y0, y1, n, steps)
+            cur, walk = r, True  # the n-step walk in F mod p
+            for _ in range(n):
+                cur = image[cur]
+                if cur < 0:
+                    walk = False
+                    break
+            assert got == walk
             if not got:  # the first positive valuation sits at the first hole
                 assert next(k for k, m in enumerate(steps) if m) == dist[r]
             seen[got] += 1
             if dist[r] is not None and dist[r] in (n - 1, n):
                 edges.add((n, dist[r] - n))
             cases += 1
+        # every distance the walks recorded is exact (p < 2^16 walks to the end)
+        table = local_heights._context(F, p).hole_distance
+        assert table and all(k == (math.inf if dist[r] is None else dist[r])
+                             for r, k in table.items())
     assert min(seen.values()) >= 600
     assert {(5, -1), (5, 0), (30, -1), (30, 0), (1, 0), (1, -1)} <= edges
 
@@ -391,9 +466,9 @@ def test_arch_steps_are_the_per_form_floats_bit_for_bit():
     # of up to 300 digits; a coefficient above the float range must stop
     # both with the same error at the same step
     rng = random.Random(2929)
-    big, zeros, errors = 0, 0, 0
-    for _ in range(1200):
-        d = rng.choice([2, 3, 4])
+    big, zeros, errors, cases, degrees = 0, 0, 0, 0, set()
+    while cases < 1200:
+        d = rng.choice([2, 3, 4, 5])
         bound = rng.choice([9, 2**53, 2**80, 10**40, 10**40, 10**40, 10**40, 10**400])
 
         def coeff():
@@ -418,10 +493,15 @@ def test_arch_steps_are_the_per_form_floats_bit_for_bit():
                 out.append(type(exc).__name__)
             runs.append(out)
         assert runs[0] == runs[1], (F, y0, y1, n)
+        if runs[0][-1:] == ["OverflowError"]:  # from the first height, on a fresh lift
+            with pytest.raises(OverflowError):
+                hom_local_height(HomogeneousLift(F.P, F.Q), (y0, y1), INF, n)
+            errors += 1
         big += F.max_abs_coeff() > 2**53
         zeros += 0 in F.P.coeffs + F.Q.coeffs
-        errors += runs[0][-1:] == ["OverflowError"]
-    assert big >= 300 and zeros >= 300 and errors >= 20
+        degrees.add(d)
+        cases += 1
+    assert big >= 300 and zeros >= 300 and errors >= 20 and degrees == {2, 3, 4, 5}
 
 
 def test_residue_tables_stay_within_their_bounds(monkeypatch):
@@ -444,10 +524,11 @@ def test_residue_tables_stay_within_their_bounds(monkeypatch):
     points = [ProjPoint(rng.randint(-10**12, 10**12), rng.randint(1, 10**12)) for _ in range(150)]
     for x in points:
         canonical_height(F, x)
-    assert calls > 0 and set(F.residue_images) == set(F.resultant_primes)
-    for p, images in F.residue_images.items():
-        assert p in F.resultant_primes and len(images) <= p + 1
-        assert set(images) <= set(range(p + 1)) and set(images.values()) <= set(range(-1, p + 1))
+    tables = {p: ctx.hole_distance for p, ctx in F.place_contexts.items() if p is not None}
+    assert calls > 0 and set(tables) == set(F.resultant_primes)
+    for p, table in tables.items():
+        assert len(table) <= p + 1
+        assert set(table) <= set(range(p + 1)) and set(table.values()) <= {*range(p + 1), math.inf}
     calls = 0
     for x in points:
         canonical_height(F, x)
@@ -457,14 +538,29 @@ def test_residue_tables_stay_within_their_bounds(monkeypatch):
     for n_iter in (5, 30):
         H = HomogeneousLift(G.P, G.Q)  # a fresh lift: an empty table
         canonical_height(H, ProjPoint(123456789, 1000003), n_iter)
-        assert 0 < len(H.residue_images[8149259477]) <= n_iter + 1
+        assert 0 < len(H.place_contexts[8149259477].hole_distance) <= n_iter + 1
+    # above 2^16 a walk stops after n residues and records lower bounds; a
+    # longer query walks again, and every answer is the n-step walk's
+    ctx, p = local_heights._context(H, 8149259477), 8149259477
+    for k, n in enumerate((5, 30, 5, 60, 1)):
+        y0, y1 = 123456789 + k % 2, 1000003
+        r = y0 * pow(y1, -1, p) % p
+        walk = True
+        for _ in range(n):
+            r = _residue_image(H, p, r)
+            if r < 0:
+                walk = False
+                break
+        assert _misses_holes(ctx, y0, y1, n) == walk
 
 
-def test_one_place_never_factors_the_resultant(monkeypatch):
+def test_one_place_never_factors_the_resultant(monkeypatch, tmp_path, capsys):
     # a height, pairing, step constant, radius or escape at one finite place
     # reads ord_p Res alone: factoring Res can stall (a 1,040-digit Res with
     # a large composite cofactor does), and nothing at one place needs it
     import dynheights.maps_core as maps_core
+    from dynheights.cli import main
+    from dynheights.formats import load_map
 
     def refuse(n):
         raise AssertionError("Res was factored")
@@ -479,6 +575,59 @@ def test_one_place_never_factors_the_resultant(monkeypatch):
         escape_radius(F, v)
     assert verify_escape(F, Place.finite(2), (Fraction(1, 64), 1), 20, 0.5)
     assert "resultant_factorization" not in vars(F)
+    # on that map a height at one prime in process, and green and escape at
+    # one prime through the CLI (its height sums over every place of Res)
+    path = tmp_path / "huge.json"
+    path.write_text('{"d": 2, "P": ["1%s", "7", "1"], "Q": ["3", "0", "1%s"]}' % ("0" * 320, "0" * 200))
+    G = load_map(str(path))
+    assert len(str(abs(G.resultant))) == 1040
+    for p, m0 in ((2, -2), (3, 0)):  # good reduction: H = -m0 log p exactly
+        assert hom_local_height(G, (Fraction(1, 4), 3), Place.finite(p), 30) == (
+            log_rational_multiple(-m0, p))
+    assert main(["green", "--map", str(path), "--x", "[1:2]", "--y", "[2:1]", "--place", "2"]) == 0
+    assert main(["escape", "--map", str(path), "--place", "3", "--z", "[1/9:1]",
+                 "--steps", "20", "--delta", "0.5"]) == 0
+    assert '"escapes":true' in capsys.readouterr().out
+
+
+def test_place_invariants_are_built_once_per_lift(monkeypatch):
+    # 140 heights of one map (70 points and their images, as in the heights
+    # workload) read ord_p Res once per prime and the archimedean step
+    # constants once: both live in the lift's place contexts
+    F = lift([-7, 3, -1, 0], [-3, 7, -3, -2])  # Res = 5544 = 2^3 3^2 7 11
+    counts = {}  # p: ord_int(Res, p) calls; INF: step_error_constants calls
+    ord_int_, constants = local_heights.ord_int, local_heights.step_error_constants
+
+    def counting_ord_int(n, p):
+        if n == F.resultant:
+            counts[p] = counts.get(p, 0) + 1
+        return ord_int_(n, p)
+
+    def counting_constants(G, v):
+        counts[v] = counts.get(v, 0) + 1
+        return constants(G, v)
+
+    monkeypatch.setattr(local_heights, "ord_int", counting_ord_int)
+    monkeypatch.setattr(local_heights, "step_error_constants", counting_constants)
+    rng = random.Random(3131)
+    points = [ProjPoint(rng.randint(-10**30, 10**30), rng.randint(1, 10**30)) for _ in range(70)]
+    for x in points + [apply_map(F, x) for x in points]:
+        canonical_height(F, x)
+    assert counts == {INF: 1, 2: 1, 3: 1, 7: 1, 11: 1}
+    # the contexts stay out of a pickle, and the copy builds its own
+    G = pickle.loads(pickle.dumps(F))
+    assert G == F and "place_contexts" not in vars(G)
+    assert canonical_height(G, points[0]) == canonical_height(F, points[0])
+
+
+def test_padic_step_above_its_bound_raises():
+    # every m_k <= e = ord_p Res (cofactor identity); a context that
+    # understates e makes the kernel raise rather than return a larger step
+    F = lift([9, 0, 0], [0, 0, 1])  # 9 z^2, Res = 3^4; F(1, 9) = 9 (1, 9)
+    assert _padic_steps(F, 1, 9, 3, 5) == [2] * 5
+    local_heights._context(F, 3).e = 1
+    with pytest.raises(ArithmeticError, match="exceeded its certified bound"):
+        _padic_steps(F, 1, 9, 3, 1)  # one step: its (n + 1) e + 2 = 4 digits hold m = 2
 
 
 @pytest.mark.parametrize(
