@@ -288,9 +288,16 @@ class CensusReport:
     warnings: tuple = ()
 
     def stats(self) -> dict:
-        """Work counters of the energy table, for the run manifest only."""
+        """Work counters of the h_res family and the energy table, for the run
+        manifest only."""
         n, terms = (self.energy.n_points, self.energy.terms) if self.energy else (0, 0)
-        return {"energy_pairs": n * (n - 1) // 2, "energy_terms": terms}
+        rh = self.resultant_height
+        return {
+            "arch_family": rh.arch_family,
+            "arch_conjugated": rh.arch_conjugated,
+            "energy_pairs": n * (n - 1) // 2,
+            "energy_terms": terms,
+        }
 
     def to_json_dict(self) -> dict:
         return {

@@ -57,7 +57,7 @@ class RunManifest:
     budgets: dict
     timestamp: str
     output_digest: str
-    stats: dict  # deterministic work counters of the command (census: energy table)
+    stats: dict  # deterministic work counters of the command (census: h_res family, energy table)
 
     def to_json_dict(self) -> dict:
         return {

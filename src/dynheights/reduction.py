@@ -42,7 +42,18 @@ the localization Z_(p), which makes deduplication and loop detection exact.
 The archimedean term of ``h_res`` runs over a finite family of integer
 matrices N.  Res(N o F o adj(N)) = det(N)^(d^2+d) Res(F), and the content
 of the raw conjugate and the scale of N cancel in |Res|/max|coeff|^(2d),
-so each member costs one raw conjugate and no resultant.
+so each member costs at most one raw conjugate and no resultant.  Most
+members cost less: with N = [[a, b], [c, d]], the raw conjugate H has
+H(x, 0) = x^d N F(d, -c) and H(0, y) = y^d N F(-b, a), so its two x^d and
+two y^d coefficients are read off F at two integer points.  The largest of
+those four absolute values, low, bounds max|coeff H| from below, so
+|det N|^(d^2+d) / low^(2d) bounds the member's ratio from above.  A member
+whose bound does not exceed the running maximum cannot replace it under
+the strict comparison of the scan, and is skipped unconjugated.  Every
+member that could replace the maximum is still conjugated exactly, in the
+family's order, so the maximum, and the Fraction returned, are those of a
+scan of every member; the identity always is, since the running maximum
+starts at 0.
 """
 
 from __future__ import annotations
@@ -135,6 +146,9 @@ class ResultantHeight:
     arch_term: float
     arch_upper_bound_only: bool
     total: float
+    #: work counters of the archimedean family, for the run manifest only
+    arch_family: int
+    arch_conjugated: int
 
     def to_json_dict(self) -> dict:
         return {
@@ -429,6 +443,7 @@ def _arch_conjugator_family(F: HomogeneousLift) -> list:
     identity, so the first ring adds one member per generator and the cap
     is met before more than _ARCH_FAMILY_CAP of them are needed: taking
     only those keeps the work bounded when a prime of Res is large.
+    The size only grows on an insertion, so the cap is tested there.
     """
     primes = sorted({2, 3} | set(F.resultant_primes))
     gens = list(islice(_arch_generators(primes), _ARCH_FAMILY_CAP))
@@ -438,33 +453,79 @@ def _arch_conjugator_family(F: HomogeneousLift) -> list:
         new_frontier = []
         for a, b, c, d, den in frontier:
             for a2, b2, c2, d2, den2 in gens:
-                cand = (a * a2 + b * c2, a * b2 + b * d2, c * a2 + d * c2, c * b2 + d * d2)
-                cand += (den * den2,)
-                g = math.gcd(*cand)
-                cand = tuple(e // g for e in cand)
+                e0, e1 = a * a2 + b * c2, a * b2 + b * d2
+                e2, e3, e4 = c * a2 + d * c2, c * b2 + d * d2, den * den2
+                g = math.gcd(e0, e1, e2, e3, e4)
+                if g == 1:
+                    cand = (e0, e1, e2, e3, e4)
+                else:
+                    cand = (e0 // g, e1 // g, e2 // g, e3 // g, e4 // g)
                 if cand not in family:
                     family[cand] = None
                     new_frontier.append(cand)
-                if len(family) >= _ARCH_FAMILY_CAP:
-                    return list(family)
+                    if len(family) >= _ARCH_FAMILY_CAP:
+                        return list(family)
         frontier = new_frontier
     return list(family)
 
 
-def _arch_best_ratio(F: HomogeneousLift) -> Fraction:
-    """max over the family of |Res G| / max|coeff G|^(2d), G = conjugate(F, phi),
-    exactly: |Res F| |det N|^(d^2+d) / max|coeff H|^(2d) for the raw
-    conjugate H of the member's integer matrix N (module docstring), compared
-    by cross-multiplication."""
+def _arch_scan(F: HomogeneousLift) -> tuple:
+    """(ratio, family size, members conjugated): ratio is the max over the
+    family of |Res G| / max|coeff G|^(2d), G = conjugate(F, phi), exactly:
+    |Res F| |det N|^(d^2+d) / max|coeff H|^(2d) for the raw conjugate H of
+    the member's integer matrix N (module docstring), compared by
+    cross-multiplication.
+
+    A member is conjugated only when |det N|^(d^2+d) * best_den >
+    best_num * low^(2d), low the largest |x^d or y^d coefficient of H|.
+    Otherwise its ratio num/den, den >= low^(2d), is at most
+    best_num/best_den, and the strict update below would not take it.  So
+    the members that can update the maximum are all evaluated, in order,
+    and best_num, best_den and the Fraction are those of a full scan.  The
+    identity comes first and is always conjugated, since best_num is 0.
+    F(x, y) is evaluated once per point and call, both forms in one
+    homogeneous Horner pass: members share the columns of their adjugates.
+    """
     d = F.d
+    e_det, e_coeff = d * d + d, 2 * d
+    (head_p, *tail_p), (head_q, *tail_q) = F.P.coeffs[::-1], F.Q.coeffs[::-1]
+    tail = tuple(zip(tail_p, tail_q))
+    values = {}  # (x, y) -> (P(x, y), Q(x, y))
+
+    def forms_at(x, y):
+        s, t, yk = head_p, head_q, 1
+        for c_p, c_q in tail:
+            yk *= y
+            s = s * x + c_p * yk
+            t = t * x + c_q * yk
+        values[x, y] = (s, t)
+        return s, t
+
+    family = _arch_conjugator_family(F)
     best_num, best_den = 0, 1
-    for a, b, c, dd, _ in _arch_conjugator_family(F):
+    conjugated = 0
+    for a, b, c, dd, _ in family:
+        num = abs(a * dd - b * c) ** e_det
+        # H(1, 0) = N F(adj(N) e1) and H(0, 1) = N F(adj(N) e2): the x^d and
+        # y^d coefficients of H
+        p0, q0 = values.get((dd, -c)) or forms_at(dd, -c)
+        p1, q1 = values.get((-b, a)) or forms_at(-b, a)
+        low = max(
+            abs(a * p0 + b * q0), abs(c * p0 + dd * q0), abs(a * p1 + b * q1), abs(c * p1 + dd * q1)
+        )
+        if num * best_den <= best_num * low**e_coeff:
+            continue
+        conjugated += 1
         g0, g1 = _conjugate_forms(F, ((a, b), (c, dd)))
-        num = abs(a * dd - b * c) ** (d * d + d)
-        den = max(map(abs, g0 + g1)) ** (2 * d)
+        den = max(map(abs, g0 + g1)) ** e_coeff
         if num * best_den > best_num * den:
             best_num, best_den = num, den
-    return Fraction(abs(F.resultant) * best_num, best_den)
+    return Fraction(abs(F.resultant) * best_num, best_den), len(family), conjugated
+
+
+def _arch_best_ratio(F: HomogeneousLift) -> Fraction:
+    """The exact archimedean ratio of ``h_res`` (``_arch_scan``)."""
+    return _arch_scan(F)[0]
 
 
 def h_res(F: HomogeneousLift) -> ResultantHeight:
@@ -479,7 +540,7 @@ def h_res(F: HomogeneousLift) -> ResultantHeight:
     finite_part = 0.0
     for p, o in report.bad_primes:
         finite_part += o * math.log(p)
-    best = _arch_best_ratio(F)
+    best, family, conjugated = _arch_scan(F)
     value = best.numerator / best.denominator
     # the float underflows to 0 only on huge coefficients; the exact log is
     # finite there, since the identity is in the family and Res != 0
@@ -493,4 +554,6 @@ def h_res(F: HomogeneousLift) -> ResultantHeight:
         arch_term=arch_term,
         arch_upper_bound_only=True,
         total=finite_part + arch_term,
+        arch_family=family,
+        arch_conjugated=conjugated,
     )

@@ -10,8 +10,11 @@ The full-scan descent is the reference for the hole-guided one: it
 evaluates all p + 1 tree neighbors at every step.  The archimedean
 conjugator family of ``h_res`` is rebuilt from products of matrices with
 exact ``Fraction`` entries, and each conjugate is expanded term by term
-with binomial coefficients, then canonicalized and its resultant taken.  The p-adic escape oracle
-iterates exact Fractions, where the library reads valuations off a residue
+with binomial coefficients, then canonicalized and its resultant taken.
+The full archimedean scan conjugates every member of the integer family,
+where ``h_res`` skips each member whose extreme-coefficient bound cannot
+beat the running maximum.  The p-adic escape oracle iterates exact
+Fractions, where the library reads valuations off a residue
 orbit; the per-form residue orbit evaluates P and Q one at a time and takes
 each valuation by repeated division, where the library runs one Horner pass
 for both forms and one gcd with p^r; the per-form float orbit likewise calls
@@ -56,7 +59,13 @@ from dynheights import (
     ord_res_at,
 )
 from dynheights.certified import log_abs_certified, log_rational_multiple
-from dynheights.reduction import _ARCH_FAMILY_CAP, _ARCH_FAMILY_RADIUS, neighbor_moves
+from dynheights.maps_core import _conjugate_forms
+from dynheights.reduction import (
+    _ARCH_FAMILY_CAP,
+    _ARCH_FAMILY_RADIUS,
+    _arch_conjugator_family,
+    neighbor_moves,
+)
 
 
 # ---------------------------------------------------------------------------
@@ -252,6 +261,21 @@ def mobius_arch_best_ratio(F, family):
         ratio = resultant_ratio(HomogeneousLift(BinaryForm(tuple(g0)), BinaryForm(tuple(g1))))
         best = ratio if best is None else max(best, ratio)
     return best
+
+
+def arch_best_ratio_full_scan(F) -> Fraction:
+    """max |Res|/max|coeff|^(2d) over the integer family of ``h_res``, with
+    every member conjugated: |Res F| |det N|^(d^2+d) / max|coeff H|^(2d) for
+    the raw conjugate H, compared by cross-multiplication."""
+    d = F.d
+    best_num, best_den = 0, 1
+    for a, b, c, dd, _ in _arch_conjugator_family(F):
+        g0, g1 = _conjugate_forms(F, ((a, b), (c, dd)))
+        num = abs(a * dd - b * c) ** (d * d + d)
+        den = max(map(abs, g0 + g1)) ** (2 * d)
+        if num * best_den > best_num * den:
+            best_num, best_den = num, den
+    return Fraction(abs(F.resultant) * best_num, best_den)
 
 
 # ---------------------------------------------------------------------------

@@ -470,6 +470,7 @@ SIXTH = {"d": 2, "P": ["6", "0", "1"], "Q": ["0", "0", "6"]}  # z^2 + 1/6, Res =
 NONCANON = {"d": 2, "P": ["-4", "0", "2"], "Q": ["0", "2", "6"]}
 
 HALF = {"d": 2, "P": ["2", "0", "1"], "Q": ["0", "0", "2"]}  # z^2 + 1/2
+CUBIC = {"d": 3, "P": ["1", "0", "0", "5"], "Q": ["0", "0", "0", "6"]}  # (z^3 + 5)/6, Res = 2^3 3^3
 #: (label, map) of the Milnor-chart calls of the digest panel
 MILNOR_MAPS = (
     ("z2pz", {"d": 2, "P": ["1", "1", "0"], "Q": ["0", "0", "1"]}),  # z^2 + z
@@ -553,6 +554,13 @@ def _digest_panel(map_file):
         ("compare-parabolic", ["compare", "--map", extra["z2pz"], "--map", extra["zpinv"],
                                "--map", map_file(HALF, "half.json")]),
     ]
+    # maps whose h_res maximum is not at the identity member of the family
+    for label, obj in (("3z4", THREE_Z4), ("cubic", CUBIC)):
+        m = ["--map", map_file(obj, f"{label}.json")]
+        calls += [
+            (f"{label}/census", ["census", *m, "--bound", "1.4", "--t-fraction", "1.0"]),
+            (f"{label}/gap", ["gap", *m, "--bound", "1.1"]),
+        ]
     return calls
 
 
@@ -581,7 +589,10 @@ def _run_in_process(argv):
 #: pairs that are not coprime integer pairs) before the orbit kernels took
 #: coprime integer pairs only.  The ten energy and census JSON digests (not
 #: the CSV ones) were re-recorded when the energy table became one
-#: closed-form sum per place with a per_place split
+#: closed-form sum per place with a per_place split.  The four 3z4 and cubic
+#: census and gap digests, whose h_res maximum is not at the identity, were
+#: recorded before the archimedean scan skipped members by their
+#: extreme-coefficient bound
 PINNED_DIGESTS = {
     "z2m1/resultant": (0, "811ec1753d4fb38ff572ecc90df1450a943644c18eb94ea49321e0a028114f25"),
     "z2m1/badplaces": (0, "fe216fd668d598b136827f8cc6d34f21e18ad4489ec0a61ff9b9153f80307b3f"),
@@ -650,6 +661,10 @@ PINNED_DIGESTS = {
     "3z2/escape-3-noncoprime": (2, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
     "3z2/escape-3-scaled": (0, "537e8582f3c2fa20d107fe32d4eb63be956fc7f6235e826a852408316ca3bb99"),
     "3z4/escape-3-scaled": (0, "a717bc401e3bc59ea97dfee55817908575888053626df857a1e325326fa9e16e"),
+    "3z4/census": (0, "5173a27f82f02a64cf50df3c5033c832699d4cf19213fc36b574caf007a2f9f2"),
+    "3z4/gap": (0, "4c5c43a426914f5bf489ce173467f20f06d1821f20e6c2096ab5993c4f4c5059"),
+    "cubic/census": (0, "e0f731c7765cbcb328d33d72ad1895ed43e96294790ee4fa470ab29eaf848a27"),
+    "cubic/gap": (0, "ffc742ec8538c2264d620e2dd1d9d0d17c291117e60ea8501a500284720d8fef"),
 }
 
 
@@ -701,7 +716,8 @@ def test_census_manifest_counts_the_energy_table(map_file):
     assert code == 0
     digest = hashlib.sha256(out.encode()).hexdigest()
     assert (code, digest) == PINNED_DIGESTS["sixth/census-cap"]
-    assert "stats" not in out and "energy_pairs" not in out
+    for key in ("stats", "energy_pairs", "arch_family", "arch_conjugated"):
+        assert key not in out
     (line,) = [ln for ln in err.splitlines() if ln.startswith("manifest: ")]
     manifest = json.loads(line[len("manifest: "):])
     assert manifest["output_digest"] == digest
@@ -709,7 +725,14 @@ def test_census_manifest_counts_the_energy_table(map_file):
     assert energy["n_points"] == 60  # the energy-table cap
     # one sum per place: infinity, the primes of Res = 2^4 3^4, the good places
     assert [label for label, _ in energy["per_place"]] == ["inf", "2", "3", "good_places"]
-    assert manifest["stats"] == {"energy_pairs": 60 * 59 // 2, "energy_terms": 4}
+    # the h_res family at the primes {2, 3} stays below the cap; 4 of its 272
+    # members can beat the running maximum and are conjugated in full
+    assert manifest["stats"] == {
+        "arch_family": 272,
+        "arch_conjugated": 4,
+        "energy_pairs": 60 * 59 // 2,
+        "energy_terms": 4,
+    }
 
 
 #: wire-format maps with 1,501- and 2,501-digit entries: the resultant of the

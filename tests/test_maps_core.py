@@ -1,6 +1,7 @@
 import math
 import random
 from fractions import Fraction
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import given, settings
@@ -177,6 +178,38 @@ def test_conjugate_forms_matches_composition_oracle():
         F = random_lift(rng, rng.choice([2, 3, 4]), coeff_bound=300)
         m = tuple(tuple(rng.randint(-300, 300) for _ in range(2)) for _ in range(2))
         assert _conjugate_forms(F, m) == conjugate_forms_by_composition(F, m)
+
+
+def test_conjugate_extreme_coefficients_are_values_at_adjugate_columns():
+    # H = M o F o adj(M) has H(x, 0) = x^d M F(d, -c) and H(0, y) = y^d M F(-b, a):
+    # the x^d and y^d coefficients are M F at the columns of adj(M).  The
+    # lemma is about forms, so degree 1 and Res = 0 are included
+    rng = random.Random(3201)
+    dets = []
+    for i in range(600):
+        d = 1 + i % 5
+        if i % 3 == 0:  # a product of shears, swaps and a sign: det = +-1
+            m = Mobius(1, 0, 0, rng.choice([1, -1]))
+            for _ in range(rng.randint(1, 4)):
+                k = rng.randint(-5, 5)
+                m = rng.choice([Mobius(1, k, 0, 1), Mobius(1, 0, k, 1), Mobius(0, 1, 1, 0)]).compose(m)
+            (a, b), (c, dd) = m.rows()
+        else:
+            bound = rng.choice([2, 9, 10**12])
+            a, b, c, dd = (rng.randint(-bound, bound) for _ in range(4))
+        F = SimpleNamespace(
+            d=d,
+            P=BinaryForm(tuple(rng.randint(-20, 20) for _ in range(d + 1))),
+            Q=BinaryForm(tuple(rng.randint(-20, 20) for _ in range(d + 1))),
+        )
+        g0, g1 = _conjugate_forms(F, ((a, b), (c, dd)))
+        for x, y, k in ((dd, -c, d), (-b, a, 0)):
+            p, q = F.P.evaluate(x, y), F.Q.evaluate(x, y)
+            assert (g0[k], g1[k]) == (a * p + b * q, c * p + dd * q)
+        dets.append((a * dd - b * c, 0 in (a, b, c, dd)))
+    assert sum(det < 0 for det, _ in dets) >= 100
+    assert sum(abs(det) == 1 for det, _ in dets) >= 150
+    assert sum(has_zero for _, has_zero in dets) >= 100
 
 
 # ---------------------------------------------------------------------------

@@ -16,8 +16,10 @@ from dynheights import (
     ord_res_at,
 )
 from dynheights.reduction import (
+    _ARCH_FAMILY_CAP,
     _arch_best_ratio,
     _arch_conjugator_family,
+    _arch_scan,
     hole_moves,
     neighbor_moves,
     vertex_key,
@@ -25,6 +27,7 @@ from dynheights.reduction import (
 
 from conftest import lift, random_lift
 from oracles import (
+    arch_best_ratio_full_scan,
     full_scan_descent,
     hole_moves_by_gf_factor,
     mobius_arch_best_ratio,
@@ -323,6 +326,44 @@ def test_integer_arch_family_matches_mobius_oracle():
             (phi.a, phi.b, phi.c, phi.d) for phi in oracle
         ]
         assert _arch_best_ratio(F) == mobius_arch_best_ratio(F, oracle)
+
+
+def _arch_skip_maps():
+    """261 seeded maps, d = 2..4: random ones, polynomials whose Res primes
+    lie in {2, 3, 5, 7}, conjugates by z -> 7^k z + j or its transpose, and
+    10^400 z^2 + 1."""
+    rng = random.Random(3232)
+    smooth = [1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 12, 14, 15, 21, 28, 35]
+    maps = [random_lift(rng, rng.choice([2, 3, 4]), coeff_bound=9) for _ in range(110)]
+    for _ in range(80):  # Res(P, c y^d) = +-(a_d c)^d, and a_d and c are 7-smooth
+        d = rng.choice([2, 3, 4])
+        p = [rng.choice(smooth) * rng.choice([1, -1])]
+        p += [rng.randint(-9, 9) for _ in range(d)]
+        maps.append(lift(p, [0] * d + [rng.choice(smooth)]))
+    for _ in range(70):
+        F = random_lift(rng, rng.choice([2, 3, 4]), coeff_bound=9)
+        q, j = 7 ** rng.randint(5, 40), rng.randint(1, 48)
+        maps.append(conjugate(F, Mobius(q, j, 0, 1) if rng.random() < 0.5 else Mobius(q, 0, j, 1)))
+    maps.append(lift([10**400, 0, 1], [0, 0, 1]))
+    return maps
+
+
+def test_arch_skip_matches_the_full_scan():
+    maps = _arch_skip_maps()
+    assert sum(set(F.resultant_primes) <= {2, 3, 5, 7} for F in maps) >= 80
+    assert sum(F.max_abs_coeff() > 10**30 for F in maps) >= 60
+    members = conjugated = not_identity = below_cap = 0
+    for F in maps:
+        ratio, family, n = _arch_scan(F)
+        assert ratio == arch_best_ratio_full_scan(F)
+        assert 1 <= n <= family == len(_arch_conjugator_family(F))
+        members += family
+        conjugated += n
+        below_cap += family < _ARCH_FAMILY_CAP
+        not_identity += ratio > Fraction(abs(F.resultant), F.max_abs_coeff() ** (2 * F.d))
+    assert not_identity >= 100 and below_cap >= 20
+    # the skip is the point: most members never reach a full conjugation
+    assert conjugated * 10 < members
 
 
 def test_h_res_and_bad_places_unimodular_invariance():
