@@ -57,7 +57,7 @@ class RunManifest:
     budgets: dict
     timestamp: str
     output_digest: str
-    stats: dict  # deterministic work counters of the command (census: h_res family, energy table)
+    stats: dict  # deterministic work counters (census: h_res family, energy table; badplaces: descent)
 
     def to_json_dict(self) -> dict:
         return {
@@ -184,7 +184,7 @@ def _run_command(args):
             return {"res": str(sylvester_resultant(P, Q))}, False, F
     if cmd == "badplaces":
         F = load_map(args.map)
-        return bad_places(F).to_json_dict(), False, F
+        return bad_places(F), False, F
     if cmd == "minres":
         F = load_map(args.map)
         return minimal_resultant_ord(F, args.prime).to_json_dict(), False, F
@@ -350,7 +350,7 @@ def main(argv=None) -> int:
         budgets=budgets,
         timestamp=datetime.now(timezone.utc).isoformat(),
         output_digest=hashlib.sha256(out.encode()).hexdigest(),
-        stats=payload.stats() if args.command == "census" else {},
+        stats=payload.stats() if hasattr(payload, "stats") else {},
     )
     print("manifest: " + json.dumps(manifest.to_json_dict(), sort_keys=True), file=sys.stderr)
     if args.manifest:

@@ -185,6 +185,13 @@ def _context(F: HomogeneousLift, p) -> _PlaceContext:
 # ---------------------------------------------------------------------------
 
 
+class _CanonicalPair(tuple):
+    """A ``ProjPoint``'s canonical lift (x0, x1), coprime by construction:
+    ``hom_local_height`` hands it to the kernels with lam = 1, no gcd."""
+
+    __slots__ = ()
+
+
 def _coprime_split(z) -> tuple:
     """(lam, y0, y1) with z = lam * (y0, y1), lam > 0 and (y0, y1) a coprime
     integer pair; lam is an int when z is an int pair.  (0, 0) is refused."""
@@ -346,15 +353,20 @@ def hom_local_height(F: HomogeneousLift, xt, v: Place, n_iter: int) -> Certified
     """Certified local height of the pair xt = (x0, x1) != (0, 0) at the place v.
 
     xt may hold ints or Fractions.  It is split once into lam * y with y a
-    coprime integer pair, and the orbit kernels run on y; lam enters through
-    the homogeneity identity H(lambda * xt) = H(xt) + log|lambda|_v, which
-    the result satisfies together with H(F(xt)) = d * H(xt), both up to the
-    returned error radius.  At a finite place with good reduction of the
-    lift the value is exact (zero truncation).
+    coprime integer pair (``LocalHeights`` passes a point's canonical lift,
+    which is y already, with lam = 1), and the orbit kernels run on y; lam
+    enters through the homogeneity identity H(lambda * xt) = H(xt) +
+    log|lambda|_v, which the result satisfies together with
+    H(F(xt)) = d * H(xt), both up to the returned error radius.  At a finite
+    place with good reduction of the lift the value is exact (zero
+    truncation).
     """
     if n_iter < 1:
         raise InputError("n_iter must be >= 1")
-    lam, y0, y1 = _coprime_split(xt)
+    if type(xt) is _CanonicalPair:
+        lam, (y0, y1) = 1, xt
+    else:
+        lam, y0, y1 = _coprime_split(xt)
     if v.is_archimedean:
         return _arch_local_height(F, lam, y0, y1, n_iter)
     return _padic_local_height(F, lam, y0, y1, v.prime, n_iter)
@@ -406,7 +418,8 @@ class LocalHeights:
         key = (x.x0, x.x1, place.prime)  # plain ints hash faster than the dataclasses
         cv = self._local.get(key)
         if cv is None:
-            cv = self._local[key] = hom_local_height(self.F, x.lift(), place, self.n_iter)
+            xt = _CanonicalPair(x.lift())
+            cv = self._local[key] = hom_local_height(self.F, xt, place, self.n_iter)
         return cv
 
     def resultant_term(self, v: Place) -> CertifiedValue:

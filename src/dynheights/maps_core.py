@@ -20,7 +20,9 @@ Conventions fixed here and used by every other module:
   ``BinaryForm``s, so it also gives Res of forms that are not canonical.
 * ``conjugate(F, phi)`` is the canonical lift of phi o f o phi^{-1};
   computed over the integers as M o F o adj(M), with M the matrix of phi
-  (adj(M) is the same projective map as M^{-1}).
+  (adj(M) is the same projective map as M^{-1}).  Its resultant follows
+  from Res(F) by the transformation law, so a conjugate costs no
+  determinant.
 * A ``HomogeneousLift`` is the per-map context: its resultant, its factored
   resultant and the cofactor bound A' are computed once, on first use, and
   cached on the (immutable) lift, as is each place's context (built by
@@ -258,6 +260,7 @@ class HomogeneousLift:
         if g != 1:
             object.__setattr__(self, "P", BinaryForm(tuple(c // g for c in self.P.coeffs)))
             object.__setattr__(self, "Q", BinaryForm(tuple(c // g for c in self.Q.coeffs)))
+            vars(self).pop("resultant", None)  # a given Res was that of the unscaled forms
         if self.resultant == 0:
             raise DegenerateMapError("Res(P, Q) = 0: the forms share a root")
 
@@ -310,6 +313,15 @@ class HomogeneousLift:
     def from_coeffs(cls, p_asc, q_asc) -> "HomogeneousLift":
         """The canonical lift of the forms with these ascending coefficient lists."""
         return cls(BinaryForm(tuple(p_asc)), BinaryForm(tuple(q_asc)))
+
+    @classmethod
+    def _with_resultant(cls, P: BinaryForm, Q: BinaryForm, resultant: int) -> "HomogeneousLift":
+        """The lift (P, Q) when Res(P, Q) is already known: every check of the
+        constructor runs, but the resultant is not recomputed."""
+        lift = cls.__new__(cls)
+        vars(lift)["resultant"] = resultant
+        lift.__init__(P, Q)
+        return lift
 
     def __getstate__(self) -> dict:  # place contexts hold compiled code: rebuilt on use
         return {k: v for k, v in vars(self).items() if k != "place_contexts"}
@@ -422,13 +434,24 @@ def _conjugate_forms(F: HomogeneousLift, m: tuple) -> tuple:
 def conjugate(F: HomogeneousLift, phi: Mobius) -> HomogeneousLift:
     """The canonical lift of phi o f o phi^{-1}.
 
-    All arithmetic is over Z, on the integer matrix of phi.  The content is
-    divided out here, so each form is built once.
+    All arithmetic is over Z, on the integer matrix M of phi.  The content is
+    divided out here, so each form is built once.  The resultant is not
+    recomputed: Res(M o F) = det(M)^d Res(F) and Res(F o A) = det(A)^(d^2)
+    Res(F), so the raw conjugate M o F o adj(M) has Res = det(M)^(d^2+d)
+    Res(F), and dividing both forms by their signed content g gives
+
+        Res(conjugate(F, phi)) = det(M)^(d^2+d) Res(F) / g^(2d),
+
+    an exact division.  Both exponents are even, so the sign is that of
+    Res(F).
     """
     g0, g1 = _conjugate_forms(F, phi.rows())
     g = _canonical_scale(g0[::-1] + g1[::-1])
-    return HomogeneousLift(
-        BinaryForm(tuple(c // g for c in g0)), BinaryForm(tuple(c // g for c in g1))
+    d = F.d
+    return HomogeneousLift._with_resultant(
+        BinaryForm(tuple(c // g for c in g0)),
+        BinaryForm(tuple(c // g for c in g1)),
+        phi.det ** (d * d + d) * F.resultant // g ** (2 * d),
     )
 
 

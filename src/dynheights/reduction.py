@@ -15,13 +15,25 @@ same generators serves as an independent oracle.  Every conjugator is an
 integer ``Mobius`` matrix: the moves are integral, and the inverse of a
 move is taken as its adjugate, the same map.
 
+No candidate costs a determinant.  For any integer matrix M the raw
+conjugate M o F o adj(M) has Res = det(M)^(d^2+d) Res(F) (``conjugate``),
+and the canonical lift divides it by g^(2d), g the content of the raw
+forms, so
+
+    ord_p Res(conjugate(F, M)) = ord_p Res(F) + (d^2+d) ord_p det M - 2d ord_p g,
+
+which is how ``ord_res_at`` scores a vertex: one raw conjugate and one
+content, on the cached Res(F).
+
 The descent evaluates only the neighbors at the reduction holes of the
 current conjugate G (Bruin-Molnar, "Minimal models for rational functions
 in a dynamical setting", LMS J. Comput. Math. 2012; Rumely, "The minimal
-resultant locus", Acta Arith. 2015).  For a neighbor move with integer
-matrix M (det p), the raw conjugate M o G o adj(M) has resultant
-p^(d^2+d) Res(G); dividing out a content of valuation k gives
-ord_p Res = ord_p Res(G) + d^2 + d - 2dk.  A neighbor with k <= 1 is worse
+resultant locus", Acta Arith. 2015), and scores each as a move from G,
+not from F: conjugate(G, M) and conjugate(F, M phi) are the canonical lift
+of the same map, so they have the same resultant, and the move M has
+entries below p where M phi has entries near p^k.  For a neighbor move M
+(det p), the law above reads ord_p Res = ord_p Res(G) + d^2 + d - 2dk,
+with k the valuation of the content.  A neighbor with k <= 1 is worse
 than G by at least d^2 - d, so only k >= 2 can keep or lower the value,
 and k >= 2 needs
 
@@ -59,13 +71,19 @@ starts at 0.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import islice
 
-from .arith import is_prime, ord_fraction, ord_int
+from .arith import content, is_prime, ord_fraction, ord_int
 from .errors import InputError, OracleRadiusError
-from .maps_core import HomogeneousLift, Mobius, _conjugate_forms, conjugate
+from .maps_core import (
+    HomogeneousLift,
+    Mobius,
+    _conjugate_forms,
+    conjugate,
+    sylvester_resultant,
+)
 
 _ORACLE_MAX_RADIUS = 6
 
@@ -88,7 +106,9 @@ class MinResCertificate:
     ``method`` records which search produced the certificate.  The
     conjugator is an integer matrix, a product of elementary moves of
     determinant p (the GL_2 convention), printed as it is: its content is
-    not divided out.
+    not divided out.  ``descent_steps`` and ``ord_res_evals`` count the
+    moves taken and the candidates scored; they are work counters for the
+    run manifest, left out of equality and of ``to_json_dict()``.
     """
 
     p: int
@@ -96,10 +116,14 @@ class MinResCertificate:
     ord_min: int
     conjugator: Mobius
     method: str = "descent"
+    descent_steps: int = field(default=0, compare=False)
+    ord_res_evals: int = field(default=0, compare=False)
 
     def verify(self, F: HomogeneousLift) -> bool:
-        """Recompute ord_p Res through the conjugator; must equal ord_min."""
-        return ord_res_at(F, self.p, self.conjugator) == self.ord_min
+        """Recompute ord_p Res through the conjugator, by the Sylvester
+        determinant of the conjugated lift; must equal ord_min."""
+        G = conjugate(F, self.conjugator)
+        return ord_int(sylvester_resultant(G.P, G.Q), self.p) == self.ord_min
 
     def to_json_dict(self) -> dict:
         return {
@@ -119,6 +143,13 @@ class BadReductionReport:
     includes_archimedean: bool
     s: int
     certificates: tuple = ()
+
+    def stats(self) -> dict:
+        """Work counters of the descents, for the run manifest only."""
+        return {
+            "descent_steps": sum(c.descent_steps for c in self.certificates),
+            "ord_res_evals": sum(c.ord_res_evals for c in self.certificates),
+        }
 
     def to_json_dict(self) -> dict:
         return {
@@ -234,8 +265,19 @@ def vertex_key(phi: Mobius, p: int) -> tuple:
 
 
 def ord_res_at(F: HomogeneousLift, p: int, phi: Mobius) -> int:
-    """ord_p of 1/|res at the vertex|: ord_p Res of the (canonical) conjugate."""
-    return ord_int(conjugate(F, phi).resultant, p)
+    """ord_p of 1/|res at the vertex|: ord_p Res of the (canonical) conjugate.
+
+    By the transformation law (module docstring), ord_p Res(F) +
+    (d^2+d) ord_p det(phi) - 2d ord_p g, g the content of the raw conjugate
+    ``_conjugate_forms(F, phi)``: no lift is built and no determinant taken.
+    """
+    d = F.d
+    g0, g1 = _conjugate_forms(F, phi.rows())
+    return (
+        ord_int(F.resultant, p)
+        + (d * d + d) * ord_int(phi.det, p)
+        - 2 * d * ord_int(content(g0 + g1), p)
+    )
 
 
 def _fp_trim(f, p: int) -> list:
@@ -310,15 +352,25 @@ def hole_moves(G: HomogeneousLift, p: int) -> list:
     neighbors whose conjugate can have ord_p Res <= ord_p Res(G) (module
     docstring).  There are at most d of them, whatever the size of p: the
     gcd has degree <= d, and <= d - 1 when both x^d coefficients vanish.
-    Its roots in F_p are those of its gcd with x^p - x, split by
-    (x + a)^((p-1)/2) - 1 (Rabin 1980; Cantor-Zassenhaus 1981); for
-    p <= deg + 1 each residue is tried instead.
+    For p > deg >= 2 the gcd is first replaced by g / gcd(g, g'), the
+    product of its distinct irreducible factors (g' != 0 as p > deg), which
+    has the same roots: a hole of multiplicity m is one simple root.  A
+    constant gcd then has no root and a monic linear one x + c has the root
+    -c.  The roots of a gcd of degree >= 2 are those of its gcd with
+    x^p - x, split by (x + a)^((p-1)/2) - 1 (Rabin 1980; Cantor-Zassenhaus
+    1981); for p <= deg + 1 each residue is tried instead.
     """
     moves = []
     if G.P.coeffs[-1] % p == 0 and G.Q.coeffs[-1] % p == 0:
         moves.append(Mobius(p, 0, 0, 1))
     g = _fp_gcd(_fp_trim(G.P.descending(), p), _fp_trim(G.Q.descending(), p), p)
-    if p <= len(g):
+    n = len(g) - 1
+    if 2 <= n < p:
+        dg = _fp_trim([c * (n - i) for i, c in enumerate(g[:-1])], p)
+        g = _fp_divmod(g, _fp_gcd(g, dg, p), p)[0]
+    if len(g) <= 2:
+        roots = [-g[1] % p] if len(g) == 2 else []
+    elif p <= len(g):
         roots = [r for r in range(p) if not _fp_divmod(g, [1, -r % p], p)[1]]
     else:
         xp = [0, 0] + _fp_powmod([1, 0], p, g, p)
@@ -341,11 +393,14 @@ def minimal_resultant_ord(F: HomogeneousLift, p: int) -> MinResCertificate:
     entries); stops when no hole improves.  Every other neighbor has
     ord_p Res >= current + d^2 - d (module docstring), so this is the move,
     and the certificate, that a scan of all p+1 neighbors would give, with
-    at most d evaluations per step for any p.  Every move strictly
-    decreases a nonnegative integer, so at most ord_start moves occur and
-    the certificate is always minimal.  ord_start is read from
-    the lift's cached resultant, so a prime that does not divide Res costs
-    no resultant and builds no neighbor, whatever its size.
+    at most d evaluations per step for any p.  A neighbor mv phi is scored
+    as ``ord_res_at(G, p, mv)`` and the next G is ``conjugate(G, mv)``, the
+    same canonical lift as conjugate(F, mv phi), so every conjugation is by
+    a move with entries below p.  Every move strictly decreases a
+    nonnegative integer, so at most ord_start moves occur and the
+    certificate is always minimal.  ord_start is read from the lift's
+    cached resultant, so a prime that does not divide Res costs no
+    resultant and builds no neighbor, whatever its size.
     """
     if not is_prime(p):
         raise InputError(f"{p} is not prime")
@@ -353,19 +408,25 @@ def minimal_resultant_ord(F: HomogeneousLift, p: int) -> MinResCertificate:
     G = F
     current = ord_int(F.resultant, p)
     ord_start = current
+    steps = evals = 0
     while current > 0:
         best = None
         for mv in hole_moves(G, p):
             cand = mv.compose(phi)
-            o = ord_res_at(F, p, cand)
-            key = (o,) + tuple((cand.a, cand.b, cand.c, cand.d))
+            o = ord_res_at(G, p, mv)
+            evals += 1
+            key = (o, cand.a, cand.b, cand.c, cand.d)
             if best is None or key < best[0]:
-                best = (key, cand, o)
-        if best is None or best[2] >= current:
+                best = (key, mv, cand, o)
+        if best is None or best[3] >= current:
             break
-        phi, current = best[1], best[2]
-        G = conjugate(F, phi)
-    return MinResCertificate(p=p, ord_start=ord_start, ord_min=current, conjugator=phi)
+        _, mv, phi, current = best
+        G = conjugate(G, mv)
+        steps += 1
+    return MinResCertificate(
+        p=p, ord_start=ord_start, ord_min=current, conjugator=phi,
+        descent_steps=steps, ord_res_evals=evals,
+    )
 
 
 def _oracle_vertices(F: HomogeneousLift, p: int, radius: int):

@@ -7,7 +7,9 @@ height oracle runs the defining limit d^-n h(f^n x) on raw integer pairs,
 the local-height oracle iterates exact Fractions with no renormalization,
 and the multiplier oracle finds fixed points numerically at 60 digits.
 The full-scan descent is the reference for the hole-guided one: it
-evaluates all p + 1 tree neighbors at every step.  The archimedean
+evaluates all p + 1 tree neighbors at every step, each scored by the
+Sylvester determinant of the canonical conjugate, where the library reads
+ord_p Res off the transformation law.  The archimedean
 conjugator family of ``h_res`` is rebuilt from products of matrices with
 exact ``Fraction`` entries, and each conjugate is expanded term by term
 with binomial coefficients, then canonicalized and its resultant taken.
@@ -43,7 +45,7 @@ from sympy import factorint
 from sympy.polys.densebasic import dmp_normal
 from sympy.polys.domains import ZZ
 from sympy.polys.euclidtools import dmp_resultant
-from sympy.polys.galoistools import gf_factor, gf_from_int_poly, gf_gcd
+from sympy.polys.galoistools import gf_factor, gf_from_int_poly, gf_gcd, gf_sqf_part
 
 from dynheights import (
     BinaryForm,
@@ -56,10 +58,10 @@ from dynheights import (
     canonical_height,
     conjugate,
     hom_local_height,
-    ord_res_at,
 )
+from dynheights.arith import bareiss_det
 from dynheights.certified import log_abs_certified, log_rational_multiple
-from dynheights.maps_core import _conjugate_forms
+from dynheights.maps_core import _conjugate_forms, sylvester_matrix
 from dynheights.reduction import (
     _ARCH_FAMILY_CAP,
     _ARCH_FAMILY_RADIUS,
@@ -128,22 +130,29 @@ def normalized_resultant_abs(F, v: Place):
 # ---------------------------------------------------------------------------
 
 
+def ord_res_by_determinant(F, p: int, phi: Mobius) -> int:
+    """ord_p Res of conjugate(F, phi), by the Bareiss determinant of the
+    canonical conjugate's Sylvester matrix, not by the transformation law."""
+    G = conjugate(F, phi)
+    return _ord_int(bareiss_det(sylvester_matrix(G.P, G.Q)), p)
+
+
 def full_scan_descent(F, p: int) -> MinResCertificate:
     """Greedy descent from the identity that evaluates all p + 1 neighbors
     at every step.
 
     Moves to the strictly best neighbor, ties broken by the lexicographic
     order of the resulting matrix entries.  Small p only: each step costs
-    p + 1 resultants.
+    p + 1 resultants, each a determinant (``ord_res_by_determinant``).
     """
     phi = Mobius.identity()
-    current = ord_res_at(F, p, phi)
+    current = ord_res_by_determinant(F, p, phi)
     ord_start = current
     while current > 0:
         best = None
         for mv in neighbor_moves(p):
             cand = mv.compose(phi)
-            o = ord_res_at(F, p, cand)
+            o = ord_res_by_determinant(F, p, cand)
             key = (o, cand.a, cand.b, cand.c, cand.d)
             if best is None or key < best[0]:
                 best = (key, cand, o)
@@ -616,6 +625,15 @@ def hole_moves_by_gf_factor(G, p: int) -> list:
         if len(factor) == 2:
             moves.append(Mobius(1, int(factor[1]), 0, p))
     return moves
+
+
+def hole_gcd_degrees(G, p: int) -> tuple:
+    """Degrees of g = gcd(P(x,1), Q(x,1)) over F_p and of its squarefree
+    part, by sympy's ``gf_gcd`` and ``gf_sqf_part``."""
+    common = gf_gcd(
+        gf_from_int_poly(G.P.descending(), p), gf_from_int_poly(G.Q.descending(), p), p, ZZ
+    )
+    return len(common) - 1, len(gf_sqf_part(common, p, ZZ)) - 1
 
 
 def milnor_sigmas_by_dmp_resultant(F) -> tuple:

@@ -735,6 +735,19 @@ def test_census_manifest_counts_the_energy_table(map_file):
     }
 
 
+def test_badplaces_manifest_counts_the_descent(map_file):
+    code, out, err = _main_in_process(["badplaces", "--map", map_file(THREE_Z2)])
+    digest = hashlib.sha256(out.encode()).hexdigest()
+    assert (code, digest) == PINNED_DIGESTS["3z2/badplaces"]
+    for key in ("stats", "descent_steps", "ord_res_evals"):
+        assert key not in out
+    (line,) = [ln for ln in err.splitlines() if ln.startswith("manifest: ")]
+    manifest = json.loads(line[len("manifest: "):])
+    assert manifest["output_digest"] == digest
+    # one hole at 3 (both x^2 coefficients vanish), one move z -> 3z to z^2
+    assert manifest["stats"] == {"descent_steps": 1, "ord_res_evals": 1}
+
+
 #: wire-format maps with 1,501- and 2,501-digit entries: the resultant of the
 #: cubic has 9,000 digits and the Milnor sigmas of the quadratic 14,703 to
 #: 19,602 characters, all past Python's default 4,300-digit int-to-str limit

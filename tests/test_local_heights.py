@@ -682,6 +682,30 @@ def test_kernels_take_coprime_integer_pairs(monkeypatch):
         assert type(y0) is int and type(y1) is int and math.gcd(y0, y1) == 1, (y0, y1)
 
 
+def test_memo_hands_canonical_pairs_to_the_kernels_unsplit(monkeypatch):
+    # LocalHeights passes a point's canonical lift, coprime already, so no
+    # gcd runs per place; a bare pair is still split, to the same bits
+    rng = random.Random(4141)
+    F = lift([5, -10, -12, 5, 3], [5, 0, -4, 3, 2])  # Res = -3 5^3 199
+    points = {ProjPoint(rng.randint(-10**40, 10**40), rng.randint(1, 10**40)) for _ in range(30)}
+    points |= {ProjPoint(1, 0), ProjPoint(0, 1), ProjPoint(-7, 3)}
+    want = {(x, v): hom_local_height(F, (x.x0, x.x1), v, 30) for x in points for v in F.places}
+    splits = []
+    real = local_heights._coprime_split
+
+    def counting(z):
+        splits.append(z)
+        return real(z)
+
+    monkeypatch.setattr(local_heights, "_coprime_split", counting)
+    memo = local_heights.LocalHeights(F, 30)
+    for (x, v), cv in want.items():
+        assert memo(x, v) == cv, (x, v)
+    assert splits == []
+    assert hom_local_height(F, (-7, 3), INF, 30) == want[ProjPoint(-7, 3), INF]
+    assert splits == [(-7, 3)]
+
+
 def test_local_height_rejects_origin_and_bad_iters(monomial):
     with pytest.raises(InputError):
         hom_local_height(monomial, (0, 0), INF, 10)

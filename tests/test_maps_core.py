@@ -1,5 +1,6 @@
 import math
 import random
+from collections import Counter
 from fractions import Fraction
 from types import SimpleNamespace
 
@@ -24,7 +25,7 @@ from dynheights import (
 from dynheights.arith import ord_int, prime_factors_abs
 from dynheights.maps_core import _conjugate_forms, sylvester_matrix
 
-from conftest import lift, random_lift
+from conftest import conjugation_cases, lift, random_lift
 from oracles import (
     conjugate_forms_by_composition,
     milnor_sigmas_by_dmp_resultant,
@@ -170,6 +171,26 @@ def test_conjugate_resultant_transformation():
         assert G == HomogeneousLift(P, Q)
         for x in (ProjPoint(0, 1), ProjPoint(1, 0), ProjPoint(-2, 3)):
             assert apply_map(G, phi.apply(x)) == phi.apply(apply_map(F, x))
+
+
+def test_conjugate_resultant_follows_the_law_with_its_sign():
+    # conjugate() carries det(M)^(d^2+d) Res(F) / g^(2d) as its resultant,
+    # computed by no determinant; it must be the Sylvester determinant of
+    # the forms it holds, sign included
+    seen = Counter()
+    for F, M, _ in conjugation_cases(6161, 1000):
+        G = conjugate(F, M)
+        assert G.resultant == sylvester_resultant(G.P, G.Q), (F, M)
+        g0, g1 = _conjugate_forms(F, M.rows())
+        seen["content > 1"] += math.gcd(*g0, *g1) > 1
+        seen["|det| > 1"] += abs(M.det) > 1
+        seen["det < 0"] += M.det < 0
+        seen["Res < 0"] += G.resultant < 0
+        seen["Res > 0"] += G.resultant > 0
+    assert min(seen.values()) >= 100, seen
+    # a known Res given with forms of content > 1 is dropped with the content
+    F = HomogeneousLift._with_resultant(BinaryForm((0, 0, 6)), BinaryForm((4, 0, 0)), 6**2 * 4**2)
+    assert (F.P.coeffs, F.Q.coeffs, F.resultant) == ((0, 0, 3), (2, 0, 0), 36)
 
 
 def test_conjugate_forms_matches_composition_oracle():

@@ -1,11 +1,16 @@
 import math
 import random
+import sys
+from collections import Counter
 from fractions import Fraction
 
 import pytest
 from sympy import nextprime, prevprime
 
+import dynheights.arith as arith
+import dynheights.reduction as reduction
 from dynheights import (
+    HomogeneousLift,
     Mobius,
     OracleRadiusError,
     bad_places,
@@ -14,7 +19,10 @@ from dynheights import (
     minimal_resultant_ord,
     minimal_resultant_oracle,
     ord_res_at,
+    sylvester_resultant,
 )
+from dynheights.arith import ord_int
+from dynheights.maps_core import _conjugate_forms
 from dynheights.reduction import (
     _ARCH_FAMILY_CAP,
     _arch_best_ratio,
@@ -25,13 +33,15 @@ from dynheights.reduction import (
     vertex_key,
 )
 
-from conftest import lift, random_lift
+from conftest import conjugation_cases, lift, random_lift
 from oracles import (
     arch_best_ratio_full_scan,
     full_scan_descent,
+    hole_gcd_degrees,
     hole_moves_by_gf_factor,
     mobius_arch_best_ratio,
     mobius_arch_family,
+    ord_res_by_determinant,
 )
 
 # Fixed regression family: every map has ord_start <= 4 at each tested prime,
@@ -63,6 +73,23 @@ def test_ord_res_at_examples(monomial, three_z2):
     assert ord_res_at(monomial, 2, Mobius.identity()) == 0
     assert ord_res_at(three_z2, 3, Mobius.identity()) == 2
     assert ord_res_at(three_z2, 3, Mobius.diagonal(3, 1)) == 0
+
+
+def test_ord_res_law_matches_the_determinant():
+    # ord_p Res(F) + (d^2+d) ord_p det M - 2d ord_p g, g the content of the
+    # raw conjugate, against the Bareiss resultant of the canonical conjugate
+    seen = Counter()
+    for F, M, p in conjugation_cases(5151, 1000):
+        assert ord_res_at(F, p, M) == ord_res_by_determinant(F, p, M), (F, M, p)
+        g0, g1 = _conjugate_forms(F, M.rows())
+        seen[f"d={F.d}"] += 1
+        seen["det +-1"] += abs(M.det) == 1
+        seen["det < 0"] += M.det < 0
+        seen["det p^k, k >= 30"] += abs(M.det) == p ** ord_int(M.det, p) >= p**30
+        seen["content divisible by p"] += math.gcd(*g0, *g1) % p == 0
+        seen["coefficients past 10^30"] += F.max_abs_coeff() > 10**30
+        seen["10^400 z^2 + 1"] += F.max_abs_coeff() == 10**400
+    assert min(seen.values()) >= 50, seen
 
 
 # ---------------------------------------------------------------------------
@@ -224,10 +251,19 @@ def _form_with_roots(rng, d, roots, p, bound):
     return [c + p * rng.randint(-3, 3) for c in f]
 
 
-def test_hole_moves_match_gf_factor_oracle():
+def test_hole_moves_match_gf_factor_oracle(monkeypatch):
     rng = random.Random(18018)
-    seen = {"p=2": 0, "p=3": 0, "P=0 mod p": 0, "x^d vanishes": 0, "2+ roots": 0, "p>1e9": 0}
+    seen = {"p=2": 0, "p=3": 0, "P=0 mod p": 0, "x^d vanishes": 0, "2+ roots": 0, "p>1e9": 0,
+            "gcd degree 0": 0, "gcd degree 1": 0, "one repeated root": 0, "repeated roots": 0}
     cases = 0
+    powmods = []
+    real_powmod = reduction._fp_powmod
+
+    def counting_powmod(*args):
+        powmods.append(args)
+        return real_powmod(*args)
+
+    monkeypatch.setattr(reduction, "_fp_powmod", counting_powmod)
     while cases < 2000:
         d = rng.choice([2, 3, 4])
         p = rng.choice([2, 3, 5, 7, 11, nextprime(rng.randrange(12, 300)),
@@ -245,12 +281,22 @@ def test_hole_moves_match_gf_factor_oracle():
             G = lift(P, Q)
         except Exception:  # a zero form or Res = 0
             continue
+        powmods.clear()
         got = hole_moves(G, p)
         # the descent ranks the moves by a total key, so only the set matters
         want = hole_moves_by_gf_factor(G, p)
         assert sorted(m.rows() for m in got) == sorted(m.rows() for m in want), (G, p)
         assert len(got) == len(want) <= d
+        # a constant or linear gcd, or (for p > its degree) one with a single
+        # distinct root, is read off directly: no x^p powmod
+        degree, distinct = hole_gcd_degrees(G, p)
+        if degree <= 1 or distinct <= 1 < degree < p:
+            assert not powmods, (G, p)
         cases += 1
+        seen["gcd degree 0"] += degree == 0
+        seen["gcd degree 1"] += degree == 1
+        seen["one repeated root"] += distinct == 1 < degree < p
+        seen["repeated roots"] += distinct < degree
         seen["p=2"] += p == 2
         seen["p=3"] += p == 3
         seen["P=0 mod p"] += all(c % p == 0 for c in G.P.coeffs)
@@ -268,6 +314,91 @@ def test_hole_descent_equals_full_scan_descent():
         p = rng.choice([2, 3, 5, 7, 11, 13])
         G = conjugate(F, _random_vertex(rng, p))
         assert minimal_resultant_ord(G, p) == full_scan_descent(G, p), (G, p)
+
+
+def _bench_style_maps(rng, count):
+    """Maps of degree 2-4 (random ones, and monic polynomials) conjugated by
+    z -> q^k z + j with q a prime near 240 and k = 1 or 2, each rebuilt from
+    its forms, so its Res comes from a determinant, as for a parsed map."""
+    maps = []
+    for i in range(count):
+        d = 2 + i % 3
+        if i % 2:
+            base = lift([1] + [rng.randint(-9, 9) for _ in range(d)], [0] * d + [1])
+        else:
+            base = random_lift(rng, d, coeff_bound=9)
+        q = rng.choice([223, 227, 229, 233, 239, 241, 251, 257])
+        G = conjugate(base, Mobius(q ** (1 + i % 2), rng.randint(1, q - 1), 0, 1))
+        maps.append((HomogeneousLift(G.P, G.Q), q))
+    return maps
+
+
+def test_each_descent_step_conjugates_the_current_conjugate(monkeypatch):
+    # the descent scores mv phi as ord_res_at(G, p, mv) and moves to
+    # conjugate(G, mv): the same lift as conjugate(F, mv phi), at every step
+    real_conjugate, real_ord_res_at = reduction.conjugate, reduction.ord_res_at
+    steps, evals = [], []
+
+    def recording_conjugate(G, mv):
+        out = real_conjugate(G, mv)
+        steps.append((G, mv, out))
+        return out
+
+    def recording_ord_res_at(G, p, mv):
+        out = real_ord_res_at(G, p, mv)
+        evals.append((G, mv, out))
+        return out
+
+    monkeypatch.setattr(reduction, "conjugate", recording_conjugate)
+    monkeypatch.setattr(reduction, "ord_res_at", recording_ord_res_at)
+    rng = random.Random(818181)
+    cases = _bench_style_maps(rng, 36)
+    for _ in range(60):
+        p = rng.choice([2, 3, 5, 7])
+        cases.append((real_conjugate(random_lift(rng, rng.choice([2, 3, 4]), 9),
+                                     _random_vertex(rng, p)), p))
+    total = 0
+    for F, p in cases:
+        steps.clear()
+        evals.clear()
+        cert = minimal_resultant_ord(F, p)
+        phi = Mobius.identity()
+        for G, mv, out in steps:
+            assert G == real_conjugate(F, phi)
+            phi = mv.compose(phi)
+            assert out == real_conjugate(F, phi), (F, p, phi)
+            assert out.resultant == sylvester_resultant(out.P, out.Q)
+        for G, mv, o in evals:
+            assert o == ord_res_by_determinant(G, p, mv)
+        assert phi == cert.conjugator
+        assert (cert.descent_steps, cert.ord_res_evals) == (len(steps), len(evals))
+        assert cert.ord_min == ord_res_by_determinant(F, p, phi)
+        total += len(steps)
+    assert total >= 100
+
+
+def test_bad_places_on_bench_style_conjugates_takes_no_determinant(monkeypatch):
+    # the descent reads every resultant off the transformation law, so once
+    # the map's own Res is cached, bad_places computes no determinant
+    maps = [F for F, _ in _bench_style_maps(random.Random(240240), 24)]
+    for F in maps:
+        F.resultant_primes  # the map's Res and its factorization, cached
+    calls = []
+    real = arith.bareiss_det
+
+    def counting(rows):
+        calls.append(len(rows))
+        return real(rows)
+
+    for name, mod in list(sys.modules.items()):
+        if name.startswith("dynheights") and getattr(mod, "bareiss_det", None) is real:
+            monkeypatch.setattr(mod, "bareiss_det", counting)
+    reports = [bad_places(F) for F in maps]
+    assert calls == []
+    assert sum(r.stats()["descent_steps"] for r in reports) >= 30
+    # the counter is live: verifying the certificates takes determinants
+    assert all(c.verify(F) for F, r in zip(maps, reports) for c in r.certificates)
+    assert calls
 
 
 def test_minimality_witness_over_oracle_ball(z2_plus_half):
