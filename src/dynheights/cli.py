@@ -18,15 +18,12 @@ from __future__ import annotations
 
 import argparse
 import contextlib
-import csv
 import functools
-import hashlib
 import io
 import json
 import math
 import sys
 from dataclasses import dataclass
-from datetime import datetime, timezone
 
 from . import __version__
 from .canonical import DEFAULT_ITERS, canonical_height
@@ -40,7 +37,7 @@ from .census import (
     small_height_census,
 )
 from .errors import DynheightsError, InputError
-from .formats import load_forms, load_map, map_hash, parse_pair, parse_point
+from .formats import load_forms, load_map, map_hash, parse_pair, parse_point, sha256_hex
 from .local_heights import escape_radius, green_pairing, verify_escape
 from .maps_core import HomogeneousLift, Place, milnor_invariants, sylvester_resultant
 from .reduction import bad_places, minimal_resultant_ord
@@ -258,6 +255,8 @@ def _run_command(args):
 
 
 def _census_csv(rep) -> str:
+    import csv  # on first use: the library path must not load what only the CLI needs
+
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(["point", "weil_h", "hhat", "hhat_err", "preperiodic", "tail", "cycle"])
@@ -342,6 +341,8 @@ def main(argv=None) -> int:
     for key in ("iters", "bound", "budget", "steps", "t_fraction"):
         if hasattr(args, key):
             budgets[key] = getattr(args, key)
+    from datetime import datetime, timezone  # on first use: only the manifest needs it
+
     manifest = RunManifest(
         tool_version=__version__,
         command=args.command,
@@ -349,7 +350,7 @@ def main(argv=None) -> int:
         map_hash=map_hash(lift) if lift is not None else None,
         budgets=budgets,
         timestamp=datetime.now(timezone.utc).isoformat(),
-        output_digest=hashlib.sha256(out.encode()).hexdigest(),
+        output_digest=sha256_hex(out),
         stats=payload.stats() if hasattr(payload, "stats") else {},
     )
     print("manifest: " + json.dumps(manifest.to_json_dict(), sort_keys=True), file=sys.stderr)

@@ -9,11 +9,14 @@ leading minus sign (-?[0-9]+: no spaces, underscores, plus signs or other
 scripts' digits).  Anything else is an ``InputError``.  Points are "[a:b]"
 with ASCII integer entries; rational entries are accepted where an affine
 pair (not a projective point) is expected.
+
+This module also owns hashing: ``sha256_hex`` is the one place that
+imports ``hashlib``, on first use, for ``map_hash`` and for the CLI's
+manifest digest.
 """
 
 from __future__ import annotations
 
-import hashlib
 import json
 import re
 from fractions import Fraction
@@ -101,7 +104,14 @@ def parse_pair(text: str) -> tuple:
     return (Fraction(m.group(1)), Fraction(m.group(2)))
 
 
+def sha256_hex(text: str) -> str:
+    """SHA-256 of the UTF-8 bytes of text, as 64 hex digits."""
+    import hashlib  # on first use: the library path must not load OpenSSL (libcrypto)
+
+    return hashlib.sha256(text.encode()).hexdigest()
+
+
 def map_hash(F: HomogeneousLift) -> str:
     """Stable short hash of the coefficient vector (manifest and report key)."""
     payload = "|".join(str(c) for c in (F.d,) + F.coefficient_vector())
-    return hashlib.sha256(payload.encode()).hexdigest()[:16]
+    return sha256_hex(payload)[:16]

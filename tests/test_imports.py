@@ -2,8 +2,11 @@
 
 The public names are pinned to a declared list.  Each other check starts a
 fresh interpreter.  One imports ``dynheights.cli`` and lists every module the
-import added; one imports the benchmark's ``checks``, which reads two names
-of the package.  The others block sympy
+import added.  One imports it, then runs ``canonical_height``, ``bad_places``,
+``green_pairing`` and ``verify_escape`` on maps with bad primes, and checks
+that none of ``hashlib`` (which maps OpenSSL), ``datetime`` and ``csv`` was
+loaded: the CLI loads those on first use.  One imports the benchmark's
+``checks``, which reads two names of the package.  The others block sympy
 (``sys.modules["sympy"] = None`` makes any import of it raise ImportError)
 and then run the pinned-digest panel of the CLI tests and one round of
 each benchmark workload: every resultant there factors by trial division,
@@ -46,6 +49,39 @@ def test_importing_the_cli_loads_only_the_package_and_the_standard_library():
         and m.split(".")[0] not in sys.stdlib_module_names
     ]
     assert foreign == []
+
+
+#: loaded on first use only (a digest, the CLI manifest, CSV output); hashlib maps libcrypto
+CLI_ONLY_MODULES = ["_hashlib", "csv", "datetime", "hashlib"]
+
+
+def test_the_library_path_loads_no_cli_only_module(tmp_path):
+    # z^2 + 1/6 (Res = 2^4 3^4) and a cubic with Res = -1003 = -17 59
+    maps = {"sixth": {"d": 2, "P": ["6", "0", "1"], "Q": ["0", "0", "6"]},
+            "cubic": {"d": 3, "P": ["7", "-7", "-8", "5"], "Q": ["5", "-2", "-8", "1"]}}
+    for name, obj in maps.items():
+        (tmp_path / f"{name}.json").write_text(json.dumps(obj))
+    added = _run(
+        "import json, sys\n"
+        "from fractions import Fraction\n"
+        "before = set(sys.modules)\n"
+        "import dynheights.cli\n"
+        "from dynheights import Place, bad_places, canonical_height, green_pairing, verify_escape\n"
+        "from dynheights.formats import load_map, parse_point\n"
+        f"for name in {sorted(maps)!r}:\n"
+        f"    F = load_map({str(tmp_path)!r} + '/' + name + '.json')\n"
+        "    x, y = parse_point('[3:7]'), parse_point('[-5:2]')\n"
+        "    report = bad_places(F)\n"
+        "    assert report.s == 3, report\n"
+        "    assert canonical_height(F, x, 30).per_place\n"
+        "    for v in [Place.archimedean()] + [Place.finite(p) for p in F.resultant_primes]:\n"
+        "        green_pairing(F, x, y, v, 30)\n"
+        "    verify_escape(F, Place.archimedean(), (Fraction(10**9), 1), 5, 0.1)\n"
+        "    verify_escape(F, Place.finite(2), (Fraction(1, 2**20), 1), 5, 0.1)\n"
+        "print(json.dumps(sorted(set(sys.modules) - before)))\n"
+    )
+    assert "dynheights.cli" in added
+    assert [m for m in CLI_ONLY_MODULES if m in added] == []
 
 
 PUBLIC_NAMES = [
