@@ -25,12 +25,15 @@ place needs of the lift is built there once, in a context kept on the lift.
   ``BinaryForm.evaluate`` per form (float(c) once per nonzero c, powers by
   repeated multiplication, (c u0^i) u1^(d-i) summed up from 0.0 in
   ascending i), so each t_k is bit-identical to that loop's.
-* At p it is a residue orbit mod p^r, r > e = ord_p Res(F) before every
-  step, so each step valuation m is exact: one Horner pass evaluates both
-  forms; a unit residue (most steps) ends the step with m = 0, else both
-  residues are divided by p while they stay divisible.  It runs only when
-  the orbit mod p meets a hole (a common zero of P and Q mod p), which one
-  lookup in the context's table of hole distances decides.
+* At p the step valuations come from the context's table of rigid residue
+  discs (``_PlaceContext.disc``: every point over such a residue has one
+  step valuation m and one next residue) where the orbit stays in them,
+  and elsewhere from a residue orbit mod p^r, r > e = ord_p Res(F) before
+  every step, so each m is exact: one Horner pass evaluates both forms; a
+  unit residue (most steps) ends the step with m = 0, else both residues
+  are divided by p while they stay divisible.  A local height whose orbit
+  mod p misses the holes (the common zeros of P and Q mod p) for n steps
+  reads every m = 0 off one table lookup.
 
 A ``LocalHeights`` memo holds each H_v(x) of one map at one series length
 and refuses a length below 1 when it is built, so no place can skip that
@@ -115,16 +118,18 @@ def escape_radius(F: HomogeneousLift, v: Place) -> EscapeRadius:
 
 class _PlaceContext:
     """One place of one lift (p = None at infinity).  At p: e, log p, the
-    Horner coefficients and the hole distances, residue -> steps before its
-    orbit meets a hole (inf: never; -k: at least k).  The rest is built on
-    first use, so a coefficient beyond the float range fails there."""
+    Horner coefficients, the table of rigid residue discs (``settle``), the
+    precision ``hint`` of the lift's last completed Horner run and two work
+    counters.  The rest is built on first use, so a coefficient beyond the
+    float range fails there."""
 
     def __init__(self, F: HomogeneousLift, p):
         self._lift, self.p, self._series = weakref.ref(F), p, {}  # F holds its contexts
         if p is not None:
-            self.e, self.log_p, self.hole_distance = ord_int(F.resultant, p), math.log(p), {}
+            self.e, self.log_p, self.discs = ord_int(F.resultant, p), math.log(p), {}
             cp, cq = F.P.descending(), F.Q.descending()
             self.head, self.tail = (cp[0], cq[0]), tuple(zip(cp[1:], cq[1:]))
+            self.hint, self.horner_steps, self.restarts = None, 0, 0
 
     F = property(lambda self: self._lift())
 
@@ -172,6 +177,109 @@ class _PlaceContext:
             tail = _up(num / (den * dn * (d - 1)))
             s = self._series[n_iter] = (dn, tail, CertifiedValue.exact_zero().widen(tail))
         return s
+
+    def disc(self, r: int):
+        """(m, image) of the rigid disc over the residue r of P^1(F_p) (r = p
+        is [1:0]), or None where the disc is not rigid.
+
+        The disc is (r + p s, 1), or (1, p s) at r = p, with s in Z_p; every
+        point of P^1(Q_p) over r is a unit times one of these.  Write each
+        form on it as sum_j a_j p^j s^j (a_j the Taylor coefficients of
+        P(r + t, 1), or those of P(1, t) at r = p, all integers) and let
+        m = min(ord_p a_0^P, ord_p a_0^Q).  The disc is rigid when m <= e and
+        ord_p a_j + j > m for every j >= 1 in both forms.  Then each form is
+        a_0 mod p^(m+1) at every point of the disc, so the step valuation is
+        m there, and F(u) / p^m = (a_0^P, a_0^Q) / p^m mod p up to a unit:
+        the next residue is ``image``.  A residue that is no hole (a_0^P or
+        a_0^Q a unit) is rigid with m = 0, since every ord_p a_j + j >= 1.
+        At a hole the condition only constrains j <= m.
+        """
+        F, p, e = self.F, self.p, self.e
+        x0, x1 = (1, 0) if r == p else (r, 1)
+        a, b = F.P.evaluate(x0, x1), F.Q.evaluate(x0, x1)
+        if a % p or b % p:
+            return 0, _residue(a, b, p)
+        m = min(ord_int(a, p), ord_int(b, p))  # not both 0: Res(F) != 0
+        if m > e:  # impossible for a unit-content lift; left to the orbit, which raises
+            return None
+        d = F.d
+        for c in (F.P.coeffs, F.Q.coeffs):  # c[i] is the coefficient of x^i y^(d - i)
+            for j in range(1, min(m, d) + 1):
+                a_j = c[d - j] if r == p else sum(
+                    c[i] * math.comb(i, j) * r ** (i - j) for i in range(j, d + 1))
+                if a_j % p ** (m - j + 1):
+                    return None
+        pm = p**m
+        return m, _residue(a // pm, b // pm, p)
+
+    def settle(self, r: int, n: int) -> tuple:
+        """The table entry (m, image, reach, to_hole) of the residue r.
+
+        reach counts the rigid discs on r's walk r, image(r), ... before the
+        first one that is not rigid (inf on a rigid cycle); to_hole counts
+        those before the first hole (a disc with m > 0 or not rigid, which
+        is always a hole).  A point over a residue of reach >= n has the
+        step valuations [m(r), m(image(r)), ...] for n steps (``walk``),
+        by induction with ``disc``; one of to_hole >= n has n zero steps.
+        A disc that is not rigid is (None, None, 0, 0).
+
+        Each count is exact, or stored as -k for "at least k" with k >= n on
+        return.  A walk evaluates F at each new residue until it meets an
+        exact entry, a disc that is not rigid or a repeat (a rigid cycle);
+        below p = 2^16 it runs to the end (at most p + 1 residues), above
+        it stops after n discs and stores lower bounds, walking again when a
+        longer count is asked for.
+        """
+        table = self.discs
+        entry = table.get(r)
+        if entry is not None and (entry[2] >= 0 or entry[2] <= -n):
+            return entry
+        cap, path, s = n if self.p >> 16 else self.p + 1, {}, r  # path: ordered
+        reach = to_hole = 0
+        exact = True
+        while True:
+            entry = table.get(s)
+            if entry is not None and entry[2] >= 0:
+                reach, to_hole = entry[2], entry[3]
+                break
+            if s in path:  # a rigid cycle from s
+                cycle = list(path)[list(path).index(s):]
+                reach = math.inf
+                to_hole = next((k for k, c in enumerate(cycle) if path[c][0]), math.inf)
+                break
+            if len(path) == cap:
+                exact = False
+                break
+            disc = entry[:2] if entry is not None else self.disc(s)
+            if disc is None:
+                table[s] = (None, None, 0, 0)
+                break
+            path[s] = disc
+            s = disc[1]
+        hole_met = exact
+        for s in reversed(path):
+            m, image = path[s]
+            reach += 1
+            if m:
+                to_hole, hole_met = 0, True
+            else:
+                to_hole += 1
+            table[s] = (m, image, reach if exact else -reach, to_hole if hole_met else -to_hole)
+        return table[r]
+
+    def walk(self, r: int, n: int) -> list:
+        """The n step valuations of a point over r, for reach(r) >= n."""
+        table, steps = self.discs, []
+        for _ in range(n):
+            m, r, _, _ = table[r]
+            steps.append(m)
+        return steps
+
+
+def _residue(a: int, b: int, p: int) -> int:
+    """The residue of [a:b] in P^1(F_p) (p for [1:0]); a or b a unit at p."""
+    b %= p
+    return a * pow(b, -1, p) % p if b else p
 
 
 def _context(F: HomogeneousLift, p) -> _PlaceContext:
@@ -236,20 +344,37 @@ def _padic_steps(F: HomogeneousLift, y0: int, y1: int, p: int, n_steps: int) -> 
     F(u_(k-1)), u_0 = y and u_k = F(u_(k-1)) / p^m_k, so that
     ||F^n(y)||_p = p^-(sum_k d^(n-k) m_k).
 
-    Every m_k <= e = ord_p Res(F) (cofactor identity), so a valuation read
-    off mod p^r, r > e, is exact.  The orbit runs mod p^r, dropping m_k
-    digits per step, from r = min((n+1)e + 2, max(2e + 2, 62 // bits(p))),
-    about a machine word, and restarts at double the precision when e or
-    fewer digits remain.  A count past e (both residues 0 included) raises.
+    The steps over rigid discs are read off the context's table
+    (``_PlaceContext.settle``): a start residue of reach >= n gives the
+    whole list with no Horner step.  Else the orbit runs mod p^r; every
+    m_k <= e = ord_p Res(F) (cofactor identity), so a valuation read off
+    with r > e digits left is exact.  One Horner pass evaluates both forms.
+    A unit residue ends the step with m = 0: the disc was rigid, so the new
+    residue's reach is one less than the old one's and cannot end the run.
+    Else both residues are divided by p while they stay divisible, and the
+    new residue is looked up; a reach covering the steps left ends the run
+    with the table's valuations.  r starts at the context's hint, the
+    precision the lift's last completed Horner run ended at (at first
+    min((n+1)e + 2, max(2e + 2, 62 // bits(p))), about a machine word).
+    When e or fewer digits remain after k steps that used c, it restarts at
+    min(2e + 1 + ceil(c n / k), 2r, (n+1)e + 2), which is more than r, and
+    (n+1)e + 2 digits always complete: the hint is a cost, never a value.
+    A count past e (both residues 0 included) raises.
     """
     ctx = _context(F, p)
-    e, (head_p, head_q), tail = ctx.e, ctx.head, ctx.tail
+    e = ctx.e
+    if e == 0:  # good reduction: every m_k <= e is 0
+        return [0] * n_steps
+    r = _residue(y0, y1, p)
+    if abs(ctx.settle(r, n_steps)[2]) >= n_steps:
+        return ctx.walk(r, n_steps)
+    (head_p, head_q), tail = ctx.head, ctx.tail
     full = (n_steps + 1) * e + 2  # here remaining > e before every step: no restart
-    precision = min(full, max(2 * e + 2, 62 // p.bit_length()))
+    precision = min(full, ctx.hint or max(2 * e + 2, 62 // p.bit_length()))
     while True:
         remaining, modulus = precision, p**precision
         z0, z1 = y0 % modulus, y1 % modulus
-        steps = []
+        steps, read = [], 0
         while len(steps) < n_steps and remaining > e:
             a, b, yp = head_p, head_q, 1
             for c_p, c_q in tail:
@@ -270,9 +395,19 @@ def _padic_steps(F: HomogeneousLift, y0: int, y1: int, p: int, n_steps: int) -> 
             steps.append(m)
             remaining -= m
             modulus //= p**m  # z0, z1 are already below it
+            left = n_steps - len(steps)
+            if left:
+                r = _residue(z0, z1, p)
+                if abs(ctx.settle(r, left)[2]) >= left:
+                    read = left
+                    steps += ctx.walk(r, left)
+        ctx.horner_steps += len(steps) - read
         if len(steps) == n_steps:
+            ctx.hint = precision
             return steps
-        precision = min(2 * precision, full)
+        ctx.restarts += 1
+        precision = min(2 * e + 1 - (-(precision - remaining) * n_steps // len(steps)),
+                        2 * precision, full)
 
 
 # ---------------------------------------------------------------------------
@@ -295,40 +430,6 @@ def _arch_local_height(F: HomogeneousLift, lam, y0: int, y1: int, n_iter: int):
     return CertifiedValue(log0.value + acc, err)
 
 
-def _misses_holes(ctx: _PlaceContext, y0: int, y1: int, n: int) -> bool:
-    """Whether the first n orbit points of [y0:y1] mod p miss the holes (the
-    common zeros of P and Q mod p), i.e. ``_padic_steps`` gives all zeros:
-    whether the residue's hole distance is at least n.
-
-    Proof: a p-adic pair u with a unit entry has F(u) = F(u mod p) mod p, of
-    positive order exactly at a hole and elsewhere again with a unit entry;
-    so by induction m_1 = ... = m_k = 0 while u_0 .. u_(k-1) mod p miss the
-    holes.  A new residue walks F mod p to a hole, a residue of known
-    distance or a repeat (a hole-free cycle), recording each distance.
-    """
-    F, p, table = ctx.F, ctx.p, ctx.hole_distance
-    y1p = y1 % p
-    r = y0 % p * pow(y1p, -1, p) % p if y1p else p
-    k = table.get(r)
-    if k is not None and (k >= 0 or k <= -n):  # exact, or at least n
-        return abs(k) >= n
-    cap, path = n if p >> 16 else p + 1, {}  # a walk above 2^16 stops at n; path: ordered
-    while (k := table.get(r, -1)) < 0:
-        if r in path or len(path) == cap:
-            k = math.inf if r in path else -cap
-            break
-        x0, x1 = (1, 0) if r == p else (r, 1)
-        a, b = F.P.evaluate(x0, x1) % p, F.Q.evaluate(x0, x1) % p
-        if not (a or b):
-            k = table[r] = 0
-            break
-        path[r] = None
-        r = a * pow(b, -1, p) % p if b else p
-    for j, s in enumerate(path, -len(path)):  # s is -j steps before r
-        table[s] = k - j if k >= 0 else j
-    return (k + len(path) if k >= 0 else cap) >= n
-
-
 def _padic_local_height(F: HomogeneousLift, lam, y0: int, y1: int, p: int, n_iter: int):
     ctx = _context(F, p)
     m0 = ord_fraction(lam, p)  # ||lam y||_p = p^-m0, y coprime
@@ -338,7 +439,7 @@ def _padic_local_height(F: HomogeneousLift, lam, y0: int, y1: int, p: int, n_ite
     # integer by Horner; an orbit missing the holes mod p has every m_k = 0
     dn, tail, zero = ctx.series(n_iter)
     num = 0
-    if not _misses_holes(ctx, y0, y1, n_iter):
+    if abs(ctx.settle(_residue(y0, y1, p), n_iter)[3]) < n_iter:
         d = F.d
         for m in _padic_steps(F, y0, y1, p, n_iter):
             num = num * d - m

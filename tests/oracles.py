@@ -398,39 +398,35 @@ def exact_padic_escape(F, z, p: int, n_steps: int, delta: float) -> bool:
 def padic_steps_by_forms(F, x0: Fraction, x1: Fraction, p: int, n_steps: int):
     """(m0, [m_1, ..., m_n]) of ``local_heights._padic_steps``, one form at a time.
 
-    The same residue orbit mod p^r and the same precision schedule (start
-    at min((n+1)e + 2, max(2e + 2, 62 // bits(p))), keep r > e before each
-    step, double on a restart), but each step evaluates P and Q separately
-    and reads m_k as the smaller of the two residues' valuations, a zero
-    residue counting as all r remaining digits.
+    The residue orbit mod p^r at full precision, r = (n+1)e + 2, so more than
+    e digits remain before every step and no table or precision schedule is
+    involved; each step evaluates P and Q separately and reads m_k as the
+    smaller of the two residues' valuations, a zero residue counting as all
+    r remaining digits.
     """
     e = _ord_int(F.resultant, p)
     m0 = min(_ord_frac(x0, p), _ord_frac(x1, p))
     scale = Fraction(p) ** m0
     u0, u1 = x0 / scale, x1 / scale
-    full = (n_steps + 1) * e + 2
-    precision = min(full, max(2 * e + 2, 62 // p.bit_length()))
-    while True:
-        remaining, modulus = precision, p**precision
-        z0 = u0.numerator * pow(u0.denominator, -1, modulus) % modulus
-        z1 = u1.numerator * pow(u1.denominator, -1, modulus) % modulus
-        steps = []
-        while len(steps) < n_steps and remaining > e:
-            w0, w1 = F.P.evaluate(z0, z1) % modulus, F.Q.evaluate(z0, z1) % modulus
-            m = min(
-                _ord_int(w0, p) if w0 else remaining,
-                _ord_int(w1, p) if w1 else remaining,
-            )
-            if m > e:
-                raise ArithmeticError("p-adic step valuation exceeded its certified bound")
-            steps.append(m)
-            shift = p**m
-            remaining -= m
-            modulus //= shift
-            z0, z1 = w0 // shift, w1 // shift
-        if len(steps) == n_steps:
-            return m0, steps
-        precision = min(2 * precision, full)
+    remaining = (n_steps + 1) * e + 2
+    modulus = p**remaining
+    z0 = u0.numerator * pow(u0.denominator, -1, modulus) % modulus
+    z1 = u1.numerator * pow(u1.denominator, -1, modulus) % modulus
+    steps = []
+    for _ in range(n_steps):
+        w0, w1 = F.P.evaluate(z0, z1) % modulus, F.Q.evaluate(z0, z1) % modulus
+        m = min(
+            _ord_int(w0, p) if w0 else remaining,
+            _ord_int(w1, p) if w1 else remaining,
+        )
+        if m > e:
+            raise ArithmeticError("p-adic step valuation exceeded its certified bound")
+        steps.append(m)
+        shift = p**m
+        remaining -= m
+        modulus //= shift
+        z0, z1 = w0 // shift, w1 // shift
+    return m0, steps
 
 
 def arch_steps_by_forms(F, y0: int, y1: int, n_steps: int):

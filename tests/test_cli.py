@@ -235,7 +235,24 @@ def test_escape_cli(map_file):
     assert json.loads(proc.stdout)["escapes"] is True
 
 
-THREE_Z4 = {"d": 4, "P": ["3", "0", "0", "0", "0"], "Q": ["0", "0", "0", "0", "1"]}
+def test_padic_escape_on_a_rigid_cycle_is_read_off_the_table(map_file):
+    # on z^2 + 1/2 the orbit of [1/64:1] stays over [1:0] at 2, a rigid disc
+    # of step valuation 1 that the map fixes, so its 20,000 steps are read
+    # off the residue table; a residue orbit mod 2^r would carry about
+    # 20,000 digits through every step
+    z2_plus_half = {"d": 2, "P": ["2", "0", "1"], "Q": ["0", "0", "2"]}
+    start = time.perf_counter()
+    proc = run_cli(
+        "escape", "--map", map_file(z2_plus_half), "--place", "2", "--z", "[1/64:1]",
+        "--delta", "0.5", "--steps", "20000", timeout=10,
+    )
+    wall = time.perf_counter() - start
+    assert proc.returncode == 0
+    assert json.loads(proc.stdout)["escapes"] is True
+    assert wall < 2.0, wall
+
+
+THREE_Z4 ={"d": 4, "P": ["3", "0", "0", "0", "0"], "Q": ["0", "0", "0", "0", "1"]}
 
 
 @pytest.mark.parametrize("steps", ["0", "-5"])

@@ -27,7 +27,7 @@ from dynheights import (
 import dynheights.local_heights as local_heights
 from dynheights.arith import ord_fraction, ord_int
 from dynheights.certified import log_rational_multiple
-from dynheights.local_heights import _arch_steps, _coprime_split, _misses_holes, _padic_steps
+from dynheights.local_heights import _arch_steps, _coprime_split, _padic_steps, _residue
 from dynheights.maps_core import BinaryForm, sylvester_cofactor_pair
 
 from conftest import lift, random_lift
@@ -254,12 +254,14 @@ def test_local_height_runs_past_the_float_range_of_d_to_the_n(d, many):
         assert abs(b.value - a.value) <= a.err
 
 
-def test_padic_orbit_carries_only_the_digits_it_needs(z2_plus_half):
-    # the residues need sum m_k + e + 1 digits, not (n + 1) e + 2; doubling
-    # the precision on a restart at most doubles that.  Every pass starts by
-    # reducing y mod p^r, and the modulus only shrinks inside a pass, so the
-    # largest modulus y is reduced by bounds every residue the kernel
-    # multiplies
+def test_padic_orbit_carries_only_the_digits_it_needs():
+    # the residues need sum m_k + e + 1 digits, not (n + 1) e + 2: a fresh
+    # lift's first run ends within twice that, and a run that starts from
+    # the lift's hint within the larger of the hint and twice its need.
+    # Every pass starts by reducing y mod p^r, and the modulus only shrinks
+    # inside a pass, so the largest modulus y is reduced by bounds every
+    # residue the kernel multiplies.  9 z^2 at 3 fixes [1:0], whose disc is
+    # a hole that is not rigid (Q(1, 3 s) = 9 s^2), so every step is Horner's
     biggest = 0
 
     class Recording(int):
@@ -268,28 +270,40 @@ def test_padic_orbit_carries_only_the_digits_it_needs(z2_plus_half):
             biggest = max(biggest, modulus)
             return int(self) % modulus
 
-    n, e = 2000, 4  # Res = 2^4
-    steps = _padic_steps(z2_plus_half, Recording(-3), Recording(2), 2, n)
-    assert (len(steps), sum(steps)) == (n, n)
-    # 2 * 2005 bits here, against (n + 1) e + 2 = 8006 at full precision
-    assert 0 < biggest.bit_length() <= 2 * (sum(steps) + e + 1)
+    def digits(modulus):
+        r = round(math.log(modulus, 3))
+        assert 3**r == modulus
+        return r
+
+    F, e = lift([9, 0, 0], [0, 0, 1]), 4  # Res = 3^4
+    ctx = local_heights._context(F, 3)
+    for n, hint, fresh in ((2000, None, True), (1500, "kept", False), (2000, e + 1, False),
+                           (700, 3000, False)):
+        if hint != "kept":
+            ctx.hint = hint
+        start, steps_before, biggest = ctx.hint, ctx.horner_steps, 0
+        steps = _padic_steps(F, Recording(1), Recording(9), 3, n)
+        assert steps == [2] * n and ctx.horner_steps - steps_before >= n
+        need = sum(steps[:-1]) + e + 1
+        if fresh:
+            assert digits(biggest) <= 2 * (sum(steps) + e + 1)
+            # 4,009 digits here, against (n + 1) e + 2 = 8,006 at full precision
+            assert digits(biggest) < (n + 1) * e + 2
+        else:
+            assert digits(biggest) <= max(start, 2 * need), (n, start, digits(biggest))
+    assert ctx.restarts > 0
 
 
-def _check_padic_steps(F, p, x0, x1, n):
-    """The kernel's (m0, steps) on the coprime part of (x0, x1) against the
-    per-form loop on (x0, x1); returns the steps."""
+def _check_padic_steps(F, p, x0, x1, n, hint=None):
+    """The kernel's (m0, steps) on the coprime part of (x0, x1), started at
+    the given precision hint, against the per-form loop on (x0, x1) at full
+    precision; returns m0, the steps and the kernel's restarts."""
     lam, y0, y1 = _coprime_split((x0, x1))
+    ctx = local_heights._context(F, p)
+    ctx.hint, restarts = hint, ctx.restarts
     m0, steps = ord_fraction(lam, p), _padic_steps(F, y0, y1, p, n)
-    assert (m0, steps) == padic_steps_by_forms(F, x0, x1, p, n), (F, x0, x1, p, n)
-    return m0, steps
-
-
-def _restarts(p, e, n, steps):
-    """Whether the kernel's first pass runs out of digits: it keeps
-    min((n + 1) e + 2, max(2e + 2, 62 // bits(p))) and needs more than e
-    left before each of the n steps."""
-    start = min((n + 1) * e + 2, max(2 * e + 2, 62 // p.bit_length()))
-    return sum(steps[:-1]) >= start - e
+    assert (m0, steps) == padic_steps_by_forms(F, x0, x1, p, n), (F, x0, x1, p, n, hint)
+    return m0, steps, ctx.restarts - restarts
 
 
 def test_padic_steps_match_per_form_oracle():
@@ -297,8 +311,9 @@ def test_padic_steps_match_per_form_oracle():
     # loop, on the coprime part y of x = lam * y, must give the step lists of
     # the per-form loop on x, and ord_p lam its m0, on every (map, point,
     # prime, n).  The first cases cover d = 2-4, e = 1 to beyond 4 and points
-    # with m0 < 0 and m0 > 0; the second force precision restarts (p = 2, 3
-    # at e >= 6) and run primes near 1000 into holes, at n = 1, 5, 30, 200
+    # with m0 < 0 and m0 > 0; the second run p = 2, 3 at e >= 6 and primes
+    # near 1000 into holes, at n = 1, 5, 30, 200.  Half the runs start at
+    # e + 1 digits, so precision restarts happen
     rng = random.Random(1313)
     seen_e, seen_d, signs, restarts, cases = set(), set(), set(), 0, 0
     while cases < 2000:
@@ -322,11 +337,12 @@ def test_padic_steps_match_per_form_oracle():
             if x0 == 0 and x1 == 0:
                 continue
             n = rng.randint(100, 200) if rng.random() < 0.1 else rng.randint(1, 30)
-            m0, steps = _check_padic_steps(F, p, x0, x1, n)
+            hint = rng.choice([None, e + 1])
+            m0, steps, restarted = _check_padic_steps(F, p, x0, x1, n, hint)
             seen_e.add(e)
             seen_d.add(d)
             signs.add((m0 > 0) - (m0 < 0))
-            restarts += _restarts(p, e, n, steps)
+            restarts += restarted
             cases += 1
     assert seen_d == {2, 3, 4} and {1, 2, 3, 4} <= seen_e and signs == {-1, 0, 1}
     assert restarts >= 100
@@ -357,15 +373,139 @@ def test_padic_steps_match_per_form_oracle():
             n = rng.choice([1, 5, 30, 200])
             y0, y1 = _pair_over(rng, p, r) if rng.random() < 0.7 else (rng.randint(-99, 99), 1)
             scale = Fraction(p) ** rng.randint(-2, 2)
-            _, steps = _check_padic_steps(F, p, y0 * scale, y1 * scale, n)
+            hint = rng.choice([None, e + 1])
+            _, steps, restarted = _check_padic_steps(F, p, y0 * scale, y1 * scale, n, hint)
             if p < 5:
                 deep += 1
-                restarts += _restarts(p, e, n, steps)
+                restarts += restarted
             else:
                 near += any(steps)
             seen_n.add(n)
     assert seen_n == {1, 5, 30, 200}
     assert deep >= 900 and restarts >= 100 and near >= 300, (deep, restarts, near)
+
+
+def _holed_map(rng, p, d):
+    """A lift whose forms share the factor x - r y mod p (r = p: y), plus noise
+    divisible by p: a hole at r, rarely rigid (its Taylor coefficient a_1 is
+    most often a unit).  Returns (lift, r), the lift None when it is refused."""
+    r = rng.randrange(p + 1)
+    P, Q = ([rng.randint(-9, 9) for _ in range(d)] for _ in range(2))
+    factor = (1, 0) if r == p else (-r, 1)  # ascending in x
+    P, Q = ([factor[0] * a + factor[1] * b for a, b in zip(f + [0], [0] + f)] for f in (P, Q))
+    P, Q = ([a + p * rng.randint(-2, 2) for a in f] for f in (P, Q))
+    try:
+        return HomogeneousLift.from_coeffs(P, Q), r
+    except (InputError, ArithmeticError):
+        return None, r
+
+
+def test_padic_steps_do_not_depend_on_the_start_precision():
+    # the precision a run starts at is a cost only: from every hint between
+    # e + 1 digits and full precision, (n + 1) e + 2, the kernel gives the
+    # per-form oracle's list, restarting where the hint falls short
+    rng = random.Random(1515)
+    cases, horner, restarts, hints = 0, 0, 0, set()
+    while cases < 500:
+        d, p = rng.choice([2, 3, 4]), rng.choice([2, 3, 5, 991, 997])
+        F, r = _holed_map(rng, p, d)
+        if F is None or ord_int(F.resultant, p) == 0:
+            continue
+        e, ctx = ord_int(F.resultant, p), local_heights._context(F, p)
+        for _ in range(4):
+            n = rng.choice([1, 2, 5, 30, 60])
+            y0, y1 = _pair_over(rng, p, r) if rng.random() < 0.7 else (rng.randint(-99, 99), 1)
+            x0, x1 = (y * Fraction(p) ** rng.randint(-2, 2) for y in (y0, y1))
+            if x0 == x1 == 0:
+                continue
+            full = (n + 1) * e + 2
+            for hint in {e + 1, e + 2, rng.randint(e + 1, full), full}:
+                steps_before = ctx.horner_steps
+                restarts += _check_padic_steps(F, p, x0, x1, n, hint)[2]
+                horner += ctx.horner_steps > steps_before
+                hints.add(hint - e)
+            cases += 1
+    assert horner >= 500 and restarts >= 100 and {1, 2} <= hints, (horner, restarts)
+
+
+def _rigid_cycle_map(rng, p, d):
+    """A lift with a cycle of rigid discs of step valuation m >= 1: [1:0]
+    fixed, or (d = 4) swapped with [0:1], moved by a random unimodular
+    conjugation.  Each coefficient constrained by the rigidity condition
+    ord_p a_j + j > m sits at its least allowed valuation half the time.
+    Returns (lift, residues of the cycle), the lift None when refused."""
+    swap = d == 4 and rng.random() < 0.5
+    m = 1 if swap else rng.randint(1, d - 1)
+    low = {}  # (form, index of x^i y^(d-i)) -> (least valuation, whether exact)
+    for j in range(1, m + 1):  # the Taylor coefficients at [1:0]: x^(d-j) y^j
+        low[0, d - j] = low[1, d - j] = (m - j + 1, False)
+    if swap:  # [1:0] -> [0:1] and back, both at m = 1
+        low.update({(0, d): (2, False), (1, d): (1, True), (0, 0): (1, True),
+                    (1, 0): (2, False), (0, 1): (1, False), (1, 1): (1, False)})
+    else:
+        low.update({(0, d): (m, True), (1, d): (m + 1, False)})
+
+    def coeff(form, i):
+        k, exact = low.get((form, i), (0, False))
+        if (form, i) not in low:
+            return rng.randint(-9, 9)
+        unit = rng.choice([u for u in range(-5, 6) if u % p])
+        return p**k * (unit if exact or rng.random() < 0.5 else rng.randint(-5, 5))
+
+    phi = Mobius(1, 0, 0, 1)
+    for _ in range(rng.randint(0, 3)):
+        t = rng.randrange(p)
+        step = rng.choice([Mobius(1, t, 0, 1), Mobius(0, 1, 1, 0), Mobius(1, 0, t, 1)])
+        phi = Mobius(step.a * phi.a + step.b * phi.c, step.a * phi.b + step.b * phi.d,
+                     step.c * phi.a + step.d * phi.c, step.c * phi.b + step.d * phi.d)
+    try:
+        F = HomogeneousLift.from_coeffs(*([coeff(f, i) for i in range(d + 1)] for f in (0, 1)))
+        F = conjugate(F, phi)
+    except (InputError, ArithmeticError):
+        return None, ()
+    cycle = [(phi.a, phi.c)] + [(phi.b, phi.d)] * swap  # phi([1:0]), phi([0:1])
+    return F, [_residue(a, c, p) for a, c in cycle]
+
+
+def test_rigid_discs_give_the_orbit_valuations():
+    # every list read off the rigid-disc table equals the per-form oracle's,
+    # on maps with rigid cycles of positive valuation, with holes that are
+    # not rigid and with holes at [1:0]; p = 2, 3 and primes near 1000
+    rng = random.Random(1616)
+    cases, read, positive, horner, seen = 0, 0, 0, 0, set()
+    while cases < 2000:
+        d, p = rng.choice([2, 3, 4]), rng.choice([2, 3, 991, 997, 1009])
+        rigid = rng.random() < 0.6
+        F, starts = _rigid_cycle_map(rng, p, d) if rigid else _holed_map(rng, p, d)
+        if F is None or ord_int(F.resultant, p) == 0:
+            continue
+        starts = list(starts) if rigid else [starts]
+        ctx = local_heights._context(F, p)
+        for _ in range(6):
+            n = rng.choice([1, 5, 30, 60])
+            y0, y1 = (_pair_over(rng, p, rng.choice(starts)) if rng.random() < 0.7
+                      else (rng.randint(-10**6, 10**6), rng.randint(1, 10**6)))
+            g = math.gcd(y0, y1)
+            y0, y1 = y0 // g, y1 // g
+            scale = Fraction(p) ** rng.randint(-2, 2)
+            steps_before = ctx.horner_steps
+            _, steps, _ = _check_padic_steps(F, p, y0 * scale, y1 * scale, n)
+            horner += ctx.horner_steps > steps_before
+            r = _residue(y0, y1, p)
+            m, _, reach, _ = ctx.settle(r, n)
+            if abs(reach) >= n:
+                assert ctx.walk(r, n) == steps, (F, p, y0, y1, n)
+                read += 1
+            if reach == math.inf:  # the walk ends on a rigid cycle: find it
+                walk = [r]
+                while walk[-1] not in walk[:-1]:
+                    walk.append(ctx.discs[walk[-1]][1])
+                cycle = walk[walk.index(walk[-1]):-1]
+                positive += any(ctx.discs[c][0] for c in cycle)
+            seen.add((d, p < 5, rigid))
+            cases += 1
+    assert len(seen) == 12
+    assert positive >= 500 and read >= 1000 and horner >= 300, (positive, read, horner)
 
 
 def _residue_image(F, p, r):
@@ -385,9 +525,9 @@ def _pair_over(rng, p, r):
     return y0 // g, y1 // g
 
 
-def test_misses_holes_is_exactly_an_all_zero_orbit():
-    # _misses_holes must say True exactly when the residue kernel's step
-    # valuations are all 0.  Each map gets one or two holes mod p (roots of
+def test_to_hole_is_exactly_an_all_zero_orbit():
+    # a residue's table entry must say to_hole >= n exactly when the residue
+    # kernel's step valuations are all 0.  Each map gets one or two holes mod p (roots of
     # a factor H of both forms mod p, at infinity too), and the starting
     # residues include the holes, points that reach a hole at the last step
     # checked (n - 1 steps away) or just after it (n steps away), and
@@ -437,7 +577,7 @@ def test_misses_holes_is_exactly_an_all_zero_orbit():
             r = rng.choice(pool or list(image))
             y0, y1 = _pair_over(rng, p, r)
             steps = _padic_steps(F, y0, y1, p, n)
-            got = _misses_holes(local_heights._context(F, p), y0, y1, n)
+            got = abs(local_heights._context(F, p).settle(_residue(y0, y1, p), n)[3]) >= n
             assert got == (not any(steps)), (F, p, y0, y1, n, steps)
             cur, walk = r, True  # the n-step walk in F mod p
             for _ in range(n):
@@ -453,9 +593,9 @@ def test_misses_holes_is_exactly_an_all_zero_orbit():
                 edges.add((n, dist[r] - n))
             cases += 1
         # every distance the walks recorded is exact (p < 2^16 walks to the end)
-        table = local_heights._context(F, p).hole_distance
-        assert table and all(k == (math.inf if dist[r] is None else dist[r])
-                             for r, k in table.items())
+        table = local_heights._context(F, p).discs
+        assert table and all(entry[3] == (math.inf if dist[r] is None else dist[r])
+                             for r, entry in table.items())
     assert min(seen.values()) >= 600
     assert {(5, -1), (5, 0), (30, -1), (30, 0), (1, 0), (1, -1)} <= edges
 
@@ -524,11 +664,14 @@ def test_residue_tables_stay_within_their_bounds(monkeypatch):
     points = [ProjPoint(rng.randint(-10**12, 10**12), rng.randint(1, 10**12)) for _ in range(150)]
     for x in points:
         canonical_height(F, x)
-    tables = {p: ctx.hole_distance for p, ctx in F.place_contexts.items() if p is not None}
+    tables = {p: ctx.discs for p, ctx in F.place_contexts.items() if p is not None}
     assert calls > 0 and set(tables) == set(F.resultant_primes)
     for p, table in tables.items():
-        assert len(table) <= p + 1
-        assert set(table) <= set(range(p + 1)) and set(table.values()) <= {*range(p + 1), math.inf}
+        assert len(table) <= p + 1 and set(table) <= set(range(p + 1))
+        for m, image, reach, to_hole in table.values():  # exact counts, or a hole's zeros
+            assert (m, image, reach, to_hole) == (None, None, 0, 0) or (
+                0 <= m <= F.resultant_factorization[p] and 0 <= image <= p)
+            assert {reach, to_hole} <= {*range(p + 2), math.inf} and to_hole <= reach
     calls = 0
     for x in points:
         canonical_height(F, x)
@@ -538,7 +681,7 @@ def test_residue_tables_stay_within_their_bounds(monkeypatch):
     for n_iter in (5, 30):
         H = HomogeneousLift(G.P, G.Q)  # a fresh lift: an empty table
         canonical_height(H, ProjPoint(123456789, 1000003), n_iter)
-        assert 0 < len(H.place_contexts[8149259477].hole_distance) <= n_iter + 1
+        assert 0 < len(H.place_contexts[8149259477].discs) <= n_iter + 1
     # above 2^16 a walk stops after n residues and records lower bounds; a
     # longer query walks again, and every answer is the n-step walk's
     ctx, p = local_heights._context(H, 8149259477), 8149259477
@@ -551,7 +694,7 @@ def test_residue_tables_stay_within_their_bounds(monkeypatch):
             if r < 0:
                 walk = False
                 break
-        assert _misses_holes(ctx, y0, y1, n) == walk
+        assert (abs(ctx.settle(_residue(y0, y1, p), n)[3]) >= n) == walk
 
 
 def test_one_place_never_factors_the_resultant(monkeypatch, tmp_path, capsys):
