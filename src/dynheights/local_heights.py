@@ -243,7 +243,8 @@ class _PlaceContext:
                 reach, to_hole = entry[2], entry[3]
                 break
             if s in path:  # a rigid cycle from s
-                cycle = list(path)[list(path).index(s):]
+                keys = list(path)
+                cycle = keys[keys.index(s):]
                 reach = math.inf
                 to_hole = next((k for k, c in enumerate(cycle) if path[c][0]), math.inf)
                 break
