@@ -50,9 +50,12 @@ from .maps_core import (
     milnor_invariants,
 )
 from .reduction import ResultantHeight, h_res
+from .telemetry import count
 
 _ENERGY_TABLE_CAP = 60
 _ORBIT_BUDGET_CAP = 1_000_000
+#: largest radius of a searched box, about 1.2 * 10^6 points
+_BOX_RADIUS_CAP = 1_000
 
 
 # ---------------------------------------------------------------------------
@@ -181,8 +184,15 @@ def _scan(F: HomogeneousLift, search_bound: float) -> list:
     """(x, orbit record) for every point of the search box, in enumeration order.
 
     Every orbit runs against the map's preperiodic height bound, so each
-    "escaped" record certifies that its point is not preperiodic.
+    "escaped" record certifies that its point is not preperiodic.  A box of
+    radius above ``_BOX_RADIUS_CAP`` raises ArithmeticError, decided on the
+    bound before the radius is computed, as e^bound can overflow a float.
     """
+    if search_bound >= math.log(_BOX_RADIUS_CAP + 1):
+        raise ArithmeticError(
+            f"search box radius floor(e^{search_bound:g}) exceeds the cap {_BOX_RADIUS_CAP}: "
+            f"the bound must stay below log({_BOX_RADIUS_CAP + 1})"
+        )
     bound = preperiodic_height_bound(F)
     budget = _orbit_budget(bound)
     return [
@@ -248,7 +258,6 @@ class EnergyReport:
     identity_residual: float | None = None
     identity_budget: float | None = None
     per_place: tuple = ()  # (("inf" | p | "good_places", ordered sum), ...) for "all"
-    terms: int = 0  # per-place sums formed; a work counter, not output
 
     def to_json_dict(self) -> dict:
         out = {
@@ -287,18 +296,6 @@ class CensusReport:
     preperiodic_count: int
     warnings: tuple = ()
 
-    def stats(self) -> dict:
-        """Work counters of the h_res family and the energy table, for the run
-        manifest only."""
-        n, terms = (self.energy.n_points, self.energy.terms) if self.energy else (0, 0)
-        rh = self.resultant_height
-        return {
-            "arch_family": rh.arch_family,
-            "arch_conjugated": rh.arch_conjugated,
-            "energy_pairs": n * (n - 1) // 2,
-            "energy_terms": terms,
-        }
-
     def to_json_dict(self) -> dict:
         return {
             "map_hash": self.map_hash,
@@ -336,6 +333,8 @@ def small_height_census(
     borderline when it also cannot be certified below.  Observational: the
     uniform comparison constants are not effective.  Each local height is
     computed once per call and shared by the rows and the energy table.
+    Counts the table's pairs as ``energy_pairs`` and its per-place sums as
+    ``energy_terms``, both 0 without a table.
     """
     rh = h_res(F)
     s = len(rh.finite_terms) + 1
@@ -373,6 +372,9 @@ def small_height_census(
             )
             pts = pts[:_ENERGY_TABLE_CAP]
         energy = energy_sum(F, pts, "all", n_iter, heights=height)
+    n = energy.n_points if energy else 0
+    count("energy_pairs", n * (n - 1) // 2)
+    count("energy_terms", len(energy.per_place) if energy else 0)
     return CensusReport(
         map_hash=map_hash(F),
         d=F.d,
@@ -521,7 +523,6 @@ def energy_sum(
             ordered=unordered.scale(2.0),
             unordered=unordered,
             n_log_n=n * math.log(n),
-            terms=1,
         )
     good = abs(W)
     for p in F.resultant_primes:
@@ -543,7 +544,6 @@ def energy_sum(
         identity_residual=abs(ordered.value - expected),
         identity_budget=ordered.err + 2.0 * (n - 1) * total_h.err,
         per_place=tuple((label, cv.scale(2.0)) for label, cv in per_place),
-        terms=len(per_place),
     )
 
 

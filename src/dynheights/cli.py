@@ -3,10 +3,13 @@
 One subcommand per library operation, machine-readable output on stdout
 (JSON by default, CSV for the census), diagnostics and the run manifest on
 stderr.  Exit status: 0 on success, 2 on invalid input, 3 when a result is
-uncertified: an orbit budget ran out, or the arithmetic
-left the range where the result can be certified (for instance
-coefficients too large for a float); in that last case nothing is written
-to stdout.
+uncertified: an orbit budget ran out, a search box is above the radius cap
+of ``census``, ``gap`` and ``preperiodic``, or the arithmetic left the
+range where the result can be certified (for instance coefficients too
+large for a float); in those last two cases nothing is written to stdout.
+
+The manifest's ``stats`` holds the work counters that the command's library
+calls made (``telemetry``); they never reach stdout.
 
 Output bytes are a deterministic function of the command line and input
 files: dictionaries are serialized with sorted keys, floats with their
@@ -23,7 +26,6 @@ import io
 import json
 import math
 import sys
-from dataclasses import dataclass
 
 from . import __version__
 from .canonical import DEFAULT_ITERS, canonical_height
@@ -41,32 +43,7 @@ from .formats import load_forms, load_map, map_hash, parse_pair, parse_point, sh
 from .local_heights import escape_radius, green_pairing, verify_escape
 from .maps_core import HomogeneousLift, Place, milnor_invariants, sylvester_resultant
 from .reduction import bad_places, minimal_resultant_ord
-
-
-@dataclass
-class RunManifest:
-    """Reproducibility record: identical manifests imply identical outputs."""
-
-    tool_version: str
-    command: str
-    argv: list
-    map_hash: str | None
-    budgets: dict
-    timestamp: str
-    output_digest: str
-    stats: dict  # deterministic work counters (census: h_res family, energy table; badplaces: descent)
-
-    def to_json_dict(self) -> dict:
-        return {
-            "tool_version": self.tool_version,
-            "command": self.command,
-            "argv": self.argv,
-            "map_hash": self.map_hash,
-            "budgets": self.budgets,
-            "timestamp": self.timestamp,
-            "output_digest": self.output_digest,
-            "stats": self.stats,
-        }
+from .telemetry import counting
 
 
 @contextlib.contextmanager
@@ -181,7 +158,7 @@ def _run_command(args):
             return {"res": str(sylvester_resultant(P, Q))}, False, F
     if cmd == "badplaces":
         F = load_map(args.map)
-        return bad_places(F), False, F
+        return bad_places(F).to_json_dict(), False, F
     if cmd == "minres":
         F = load_map(args.map)
         return minimal_resultant_ord(F, args.prime).to_json_dict(), False, F
@@ -313,7 +290,8 @@ def main(argv=None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
     try:
-        payload, uncertified, lift = _run_command(args)
+        with counting() as stats:
+            payload, uncertified, lift = _run_command(args)
     except DynheightsError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
@@ -343,22 +321,20 @@ def main(argv=None) -> int:
             budgets[key] = getattr(args, key)
     from datetime import datetime, timezone  # on first use: only the manifest needs it
 
-    manifest = RunManifest(
-        tool_version=__version__,
-        command=args.command,
-        argv=list(argv) if argv is not None else sys.argv[1:],
-        map_hash=map_hash(lift) if lift is not None else None,
-        budgets=budgets,
-        timestamp=datetime.now(timezone.utc).isoformat(),
-        output_digest=sha256_hex(out),
-        stats=payload.stats() if hasattr(payload, "stats") else {},
-    )
-    print("manifest: " + json.dumps(manifest.to_json_dict(), sort_keys=True), file=sys.stderr)
+    manifest = {  # reproducibility record: identical manifests imply identical outputs
+        "tool_version": __version__,
+        "command": args.command,
+        "argv": list(argv) if argv is not None else sys.argv[1:],
+        "map_hash": map_hash(lift) if lift is not None else None,
+        "budgets": budgets,
+        "timestamp": datetime.now(timezone.utc).isoformat(),
+        "output_digest": sha256_hex(out),
+        "stats": stats,
+    }
+    print("manifest: " + json.dumps(manifest, sort_keys=True), file=sys.stderr)
     if args.manifest:
         try:
-            _write_file(
-                args.manifest, json.dumps(manifest.to_json_dict(), sort_keys=True, indent=2) + "\n"
-            )
+            _write_file(args.manifest, json.dumps(manifest, sort_keys=True, indent=2) + "\n")
         except InputError as exc:  # stdout already holds the result
             print(f"error: {exc}", file=sys.stderr)
             return 2

@@ -2,7 +2,9 @@
 
 ``InputError`` and its subclasses signal bad or unsupported input; the CLI
 maps them to exit status 2.  Budget exhaustion is not an error: operations
-that can run out of budget return a status flag instead of raising.
+that can run out of budget return a status flag instead of raising, except
+the search boxes of ``census``, ``gap`` and ``preperiodic``: a radius above
+1,000 raises ``ArithmeticError``, which the CLI maps to exit status 3.
 """
 
 

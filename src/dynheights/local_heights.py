@@ -56,6 +56,7 @@ from .certified import _EPS, CertifiedValue, _up, log_abs_certified, log_float_m
 from .certified import log_rational_multiple
 from .errors import DiagonalPairingError, EscapePreconditionError, InputError
 from .maps_core import HomogeneousLift, Place, ProjPoint
+from .telemetry import count
 
 DEFAULT_ITERS = 30
 
@@ -118,10 +119,10 @@ def escape_radius(F: HomogeneousLift, v: Place) -> EscapeRadius:
 
 class _PlaceContext:
     """One place of one lift (p = None at infinity).  At p: e, log p, the
-    Horner coefficients, the table of rigid residue discs (``settle``), the
-    precision ``hint`` of the lift's last completed Horner run and two work
-    counters.  The rest is built on first use, so a coefficient beyond the
-    float range fails there."""
+    Horner coefficients, the table of rigid residue discs (``settle``) and
+    the precision ``hint`` of the lift's last completed Horner run.  The
+    rest is built on first use, so a coefficient beyond the float range
+    fails there."""
 
     def __init__(self, F: HomogeneousLift, p):
         self._lift, self.p, self._series = weakref.ref(F), p, {}  # F holds its contexts
@@ -129,7 +130,7 @@ class _PlaceContext:
             self.e, self.log_p, self.discs = ord_int(F.resultant, p), math.log(p), {}
             cp, cq = F.P.descending(), F.Q.descending()
             self.head, self.tail = (cp[0], cq[0]), tuple(zip(cp[1:], cq[1:]))
-            self.hint, self.horner_steps, self.restarts = None, 0, 0
+            self.hint = None
 
     F = property(lambda self: self._lift())
 
@@ -360,7 +361,8 @@ def _padic_steps(F: HomogeneousLift, y0: int, y1: int, p: int, n_steps: int) -> 
     When e or fewer digits remain after k steps that used c, it restarts at
     min(2e + 1 + ceil(c n / k), 2r, (n+1)e + 2), which is more than r, and
     (n+1)e + 2 digits always complete: the hint is a cost, never a value.
-    A count past e (both residues 0 included) raises.
+    A count past e (both residues 0 included) raises.  Each Horner pass
+    counts its steps as ``horner_steps``, and each restart as ``restarts``.
     """
     ctx = _context(F, p)
     e = ctx.e
@@ -402,11 +404,11 @@ def _padic_steps(F: HomogeneousLift, y0: int, y1: int, p: int, n_steps: int) -> 
                 if abs(ctx.settle(r, left)[2]) >= left:
                     read = left
                     steps += ctx.walk(r, left)
-        ctx.horner_steps += len(steps) - read
+        count("horner_steps", len(steps) - read)
         if len(steps) == n_steps:
             ctx.hint = precision
             return steps
-        ctx.restarts += 1
+        count("restarts")
         precision = min(2 * e + 1 - (-(precision - remaining) * n_steps // len(steps)),
                         2 * precision, full)
 

@@ -66,10 +66,6 @@ class Place:
     def is_archimedean(self) -> bool:
         return self.prime is None
 
-    @property
-    def multiplicity(self) -> int:
-        return 1
-
     @classmethod
     def archimedean(cls) -> "Place":
         return cls(None)

@@ -71,7 +71,7 @@ starts at 0.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from itertools import islice
 
@@ -84,6 +84,7 @@ from .maps_core import (
     conjugate,
     sylvester_resultant,
 )
+from .telemetry import count
 
 _ORACLE_MAX_RADIUS = 6
 
@@ -106,9 +107,7 @@ class MinResCertificate:
     ``method`` records which search produced the certificate.  The
     conjugator is an integer matrix, a product of elementary moves of
     determinant p (the GL_2 convention), printed as it is: its content is
-    not divided out.  ``descent_steps`` and ``ord_res_evals`` count the
-    moves taken and the candidates scored; they are work counters for the
-    run manifest, left out of equality and of ``to_json_dict()``.
+    not divided out.
     """
 
     p: int
@@ -116,8 +115,6 @@ class MinResCertificate:
     ord_min: int
     conjugator: Mobius
     method: str = "descent"
-    descent_steps: int = field(default=0, compare=False)
-    ord_res_evals: int = field(default=0, compare=False)
 
     def verify(self, F: HomogeneousLift) -> bool:
         """Recompute ord_p Res through the conjugator, by the Sylvester
@@ -143,13 +140,6 @@ class BadReductionReport:
     includes_archimedean: bool
     s: int
     certificates: tuple = ()
-
-    def stats(self) -> dict:
-        """Work counters of the descents, for the run manifest only."""
-        return {
-            "descent_steps": sum(c.descent_steps for c in self.certificates),
-            "ord_res_evals": sum(c.ord_res_evals for c in self.certificates),
-        }
 
     def to_json_dict(self) -> dict:
         return {
@@ -177,9 +167,6 @@ class ResultantHeight:
     arch_term: float
     arch_upper_bound_only: bool
     total: float
-    #: work counters of the archimedean family, for the run manifest only
-    arch_family: int
-    arch_conjugated: int
 
     def to_json_dict(self) -> dict:
         return {
@@ -400,7 +387,8 @@ def minimal_resultant_ord(F: HomogeneousLift, p: int) -> MinResCertificate:
     nonnegative integer, so at most ord_start moves occur and the
     certificate is always minimal.  ord_start is read from the lift's
     cached resultant, so a prime that does not divide Res costs no
-    resultant and builds no neighbor, whatever its size.
+    resultant and builds no neighbor, whatever its size.  Counts its moves
+    as ``descent_steps`` and its scored candidates as ``ord_res_evals``.
     """
     if not is_prime(p):
         raise InputError(f"{p} is not prime")
@@ -423,10 +411,9 @@ def minimal_resultant_ord(F: HomogeneousLift, p: int) -> MinResCertificate:
         _, mv, phi, current = best
         G = conjugate(G, mv)
         steps += 1
-    return MinResCertificate(
-        p=p, ord_start=ord_start, ord_min=current, conjugator=phi,
-        descent_steps=steps, ord_res_evals=evals,
-    )
+    count("descent_steps", steps)
+    count("ord_res_evals", evals)
+    return MinResCertificate(p=p, ord_start=ord_start, ord_min=current, conjugator=phi)
 
 
 def _oracle_vertices(F: HomogeneousLift, p: int, radius: int):
@@ -473,6 +460,8 @@ def bad_places(F: HomogeneousLift) -> BadReductionReport:
     minimal-resultant descent.  The archimedean place counts as bad by
     convention, so s >= 1 always.
     """
+    count("descent_steps", 0)  # listed also when no prime divides Res
+    count("ord_res_evals", 0)
     certs = tuple(minimal_resultant_ord(F, p) for p in F.resultant_primes)
     bad = tuple((c.p, c.ord_min) for c in certs if c.ord_min > 0)
     return BadReductionReport(
@@ -530,9 +519,9 @@ def _arch_conjugator_family(F: HomogeneousLift) -> list:
     return list(family)
 
 
-def _arch_scan(F: HomogeneousLift) -> tuple:
-    """(ratio, family size, members conjugated): ratio is the max over the
-    family of |Res G| / max|coeff G|^(2d), G = conjugate(F, phi), exactly:
+def _arch_best_ratio(F: HomogeneousLift) -> Fraction:
+    """The exact archimedean ratio of ``h_res``: the max over the family of
+    |Res G| / max|coeff G|^(2d), G = conjugate(F, phi), that is
     |Res F| |det N|^(d^2+d) / max|coeff H|^(2d) for the raw conjugate H of
     the member's integer matrix N (module docstring), compared by
     cross-multiplication.
@@ -546,6 +535,8 @@ def _arch_scan(F: HomogeneousLift) -> tuple:
     identity comes first and is always conjugated, since best_num is 0.
     F(x, y) is evaluated once per point and call, both forms in one
     homogeneous Horner pass: members share the columns of their adjugates.
+    Counts the family's size as ``arch_family`` and the members conjugated
+    as ``arch_conjugated``.
     """
     d = F.d
     e_det, e_coeff = d * d + d, 2 * d
@@ -581,12 +572,9 @@ def _arch_scan(F: HomogeneousLift) -> tuple:
         den = max(map(abs, g0 + g1)) ** e_coeff
         if num * best_den > best_num * den:
             best_num, best_den = num, den
-    return Fraction(abs(F.resultant) * best_num, best_den), len(family), conjugated
-
-
-def _arch_best_ratio(F: HomogeneousLift) -> Fraction:
-    """The exact archimedean ratio of ``h_res`` (``_arch_scan``)."""
-    return _arch_scan(F)[0]
+    count("arch_family", len(family))
+    count("arch_conjugated", conjugated)
+    return Fraction(abs(F.resultant) * best_num, best_den)
 
 
 def h_res(F: HomogeneousLift) -> ResultantHeight:
@@ -601,7 +589,7 @@ def h_res(F: HomogeneousLift) -> ResultantHeight:
     finite_part = 0.0
     for p, o in report.bad_primes:
         finite_part += o * math.log(p)
-    best, family, conjugated = _arch_scan(F)
+    best = _arch_best_ratio(F)
     value = best.numerator / best.denominator
     # the float underflows to 0 only on huge coefficients; the exact log is
     # finite there, since the identity is in the family and Res != 0
@@ -615,6 +603,4 @@ def h_res(F: HomogeneousLift) -> ResultantHeight:
         arch_term=arch_term,
         arch_upper_bound_only=True,
         total=finite_part + arch_term,
-        arch_family=family,
-        arch_conjugated=conjugated,
     )

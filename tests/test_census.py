@@ -6,6 +6,7 @@ import pytest
 
 import dynheights.census as census
 import dynheights.local_heights as lh
+from dynheights import telemetry
 from dynheights import (
     CertifiedValue,
     DuplicatePointsError,
@@ -67,6 +68,39 @@ def test_enumerate_points_order_and_completeness():
     count_h2 = sum(1 for p in pts if max(abs(p.x0), p.x1) == 2)
     assert count_h2 == 4  # [-2:1], [-1:2], [1:2], [2:1]
     assert enumerate_points(-1.0) == []
+
+
+def test_search_boxes_above_the_radius_cap_are_refused():
+    # the test on the bound agrees with _box_radius on both sides of the cap,
+    # and preperiodic_points applies it after clipping to the proven bound
+    cap = census._BOX_RADIUS_CAP
+    edge = math.log(cap + 1)
+    assert census._box_radius(edge) == cap + 1
+    assert census._box_radius(math.nextafter(edge, 0)) == cap
+    F = lift([1, 0, -1], [0, 0, 1])  # z^2 - 1: no preperiodic point above height 1.1
+    assert len(preperiodic_points(F, 1e300)) == 4
+    big = lift([596070, 0, 0, -1], [-11, 36, 17, -35])  # proven bound about 32.6
+    for call in (
+        lambda: small_height_census(F, 1.0, edge),
+        lambda: height_gap_probe(F, 1e300),
+        lambda: preperiodic_points(big, 1e300),
+    ):
+        with pytest.raises(ArithmeticError, match=f"exceeds the cap {cap}"):
+            call()
+
+
+def test_library_calls_outside_counting_count_nothing(z2_plus_half):
+    telemetry.count("descent_steps")  # no sink: nothing is kept
+    outside = small_height_census(z2_plus_half, 1.0, 1.4).to_json_dict()
+    assert telemetry._sink is None
+    with telemetry.counting() as counts:
+        inside = small_height_census(z2_plus_half, 1.0, 1.4).to_json_dict()
+    assert telemetry._sink is None
+    assert inside == outside
+    assert counts["descent_steps"] == 1 and counts["arch_family"] > 0
+    with telemetry.counting() as counts:
+        pass
+    assert counts == {}
 
 
 # ---------------------------------------------------------------------------

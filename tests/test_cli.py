@@ -308,6 +308,41 @@ def test_preperiodic_scan_stops_at_the_proven_bound(map_file):
     assert out_big["search_bound"] == 12.0 and out_big["complete_global"] is True
 
 
+#: a cubic whose preperiodic height bound, about 32.6, clips --bound 1e300 to
+#: a box of radius about 1.5e14
+BIG_BOX_CUBIC = {"d": 3, "P": ["596070", "0", "0", "-1"], "Q": ["-11", "36", "17", "-35"]}
+
+
+@pytest.mark.parametrize(
+    "obj, argv",
+    [
+        (BIG_BOX_CUBIC, ["preperiodic", "--bound", "1e300"]),
+        ({"d": 2, "P": ["6", "0", "1"], "Q": ["0", "0", "6"]}, ["census", "--bound", "20"]),
+        ({"d": 2, "P": ["6", "0", "1"], "Q": ["0", "0", "6"]}, ["census", "--bound", "1e300"]),
+        (Z2_MINUS_1, ["gap", "--bound", "7"]),
+    ],
+    ids=["preperiodic", "census", "census-past-the-float-range", "gap"],
+)
+def test_search_box_above_the_radius_cap_exits_3(map_file, obj, argv):
+    # boxes of radius 1.5e14 (preperiodic, after clipping) and e^20 once ran
+    # for hours, and e^1e300 failed with "math range error"
+    from dynheights import preperiodic_height_bound
+    from dynheights.formats import load_map
+
+    path = map_file(obj)
+    command, _, bound = argv
+    proc = run_cli(command, "--map", path, "--bound", bound, timeout=10)
+    assert (proc.returncode, proc.stdout) == (3, "")
+    searched = float(bound)
+    if command == "preperiodic":
+        searched = preperiodic_height_bound(load_map(path))
+        assert 32 < searched < 33
+    assert proc.stderr.splitlines() == [
+        f"error: search box radius floor(e^{searched:g}) exceeds the cap 1000: "
+        "the bound must stay below log(1001)"
+    ]
+
+
 def test_gap_cli(map_file):
     proc = run_cli("gap", "--map", map_file(MONOMIAL), "--bound", "1.1")
     assert proc.returncode == 0
@@ -727,6 +762,11 @@ def test_iters_below_one_exit_2_at_a_good_prime(map_file, argv):
     assert "error: n_iter must be >= 1" in err
 
 
+def _manifest(err: str) -> dict:
+    (line,) = [ln for ln in err.splitlines() if ln.startswith("manifest: ")]
+    return json.loads(line[len("manifest: "):])
+
+
 def test_census_manifest_counts_the_energy_table(map_file):
     argv = ["census", "--map", map_file(SIXTH), "--bound", "2.0", "--t-fraction", "30"]
     code, out, err = _main_in_process(argv)
@@ -735,20 +775,59 @@ def test_census_manifest_counts_the_energy_table(map_file):
     assert (code, digest) == PINNED_DIGESTS["sixth/census-cap"]
     for key in ("stats", "energy_pairs", "arch_family", "arch_conjugated"):
         assert key not in out
-    (line,) = [ln for ln in err.splitlines() if ln.startswith("manifest: ")]
-    manifest = json.loads(line[len("manifest: "):])
+    manifest = _manifest(err)
     assert manifest["output_digest"] == digest
     energy = json.loads(out)["energy"]
     assert energy["n_points"] == 60  # the energy-table cap
     # one sum per place: infinity, the primes of Res = 2^4 3^4, the good places
     assert [label for label, _ in energy["per_place"]] == ["inf", "2", "3", "good_places"]
     # the h_res family at the primes {2, 3} stays below the cap; 4 of its 272
-    # members can beat the running maximum and are conjugated in full
+    # members can beat the running maximum and are conjugated in full.  The
+    # descents at 2 and 3 take one step each, and every local height at 2 and
+    # 3 is read off the rigid-disc table: no Horner step runs
     assert manifest["stats"] == {
         "arch_family": 272,
         "arch_conjugated": 4,
+        "descent_steps": 2,
         "energy_pairs": 60 * 59 // 2,
         "energy_terms": 4,
+        "ord_res_evals": 4,
+    }
+
+
+@pytest.mark.parametrize("bound", ["-1", "0.0"])
+def test_census_without_an_energy_table_counts_it_at_zero(map_file, bound):
+    # no point, or one counted point: no table, and both keys still listed
+    code, out, err = _main_in_process(
+        ["census", "--map", map_file(SIXTH), f"--bound={bound}", "--t-fraction", "0.01"]
+    )
+    assert code == 0 and json.loads(out)["count"] == {"-1": 0, "0.0": 1}[bound]
+    stats = _manifest(err)["stats"]
+    assert (stats["energy_pairs"], stats["energy_terms"]) == (0, 0)
+
+
+def test_main_leaves_no_counting_sink_behind(map_file):
+    # the benchmark's census worker calls cli.main in one process, call after
+    # call.  Both failures below leave the command after some counts: compare
+    # after the quadratic's h_res (exit 2 on the cubic), census after h_res
+    # (exit 3 at the box cap)
+    from dynheights import telemetry
+
+    sixth = map_file(SIXTH, "sixth.json")
+    cubic = map_file(CUBIC, "cubic.json")
+    for argv, want in (
+        (["compare", "--map", sixth, "--map", cubic], 2),
+        (["census", "--map", sixth, "--bound", "20"], 3),
+    ):
+        code, out, err = _main_in_process(argv)
+        assert (code, out) == (want, "") and err.startswith("error: ")
+        assert telemetry._sink is None
+    argv = ["badplaces", "--map", sixth]
+    code, _, err = _main_in_process(argv)
+    fresh = run_cli(*argv)
+    assert code == fresh.returncode == 0
+    assert _manifest(err)["stats"] == _manifest(fresh.stderr)["stats"] == {
+        "descent_steps": 2, "ord_res_evals": 4,
     }
 
 
@@ -758,8 +837,7 @@ def test_badplaces_manifest_counts_the_descent(map_file):
     assert (code, digest) == PINNED_DIGESTS["3z2/badplaces"]
     for key in ("stats", "descent_steps", "ord_res_evals"):
         assert key not in out
-    (line,) = [ln for ln in err.splitlines() if ln.startswith("manifest: ")]
-    manifest = json.loads(line[len("manifest: "):])
+    manifest = _manifest(err)
     assert manifest["output_digest"] == digest
     # one hole at 3 (both x^2 coefficients vanish), one move z -> 3z to z^2
     assert manifest["stats"] == {"descent_steps": 1, "ord_res_evals": 1}

@@ -5,7 +5,9 @@ fresh interpreter.  One imports ``dynheights.cli`` and lists every module the
 import added.  One imports it, then runs ``canonical_height``, ``bad_places``,
 ``green_pairing`` and ``verify_escape`` on maps with bad primes, and checks
 that none of ``hashlib`` (which maps OpenSSL), ``datetime`` and ``csv`` was
-loaded: the CLI loads those on first use.  One imports the benchmark's
+loaded: the CLI loads those on first use.  One imports
+``dynheights.telemetry`` behind a bare package object and checks that it
+loads no other module.  One imports the benchmark's
 ``checks``, which reads two names of the package.  The others block sympy
 (``sys.modules["sympy"] = None`` makes any import of it raise ImportError)
 and then run the pinned-digest panel of the CLI tests and one round of
@@ -163,3 +165,20 @@ def test_benchmark_rounds_run_without_sympy(tmp_path):
         stdin=json.dumps(rounds),
     )
     assert got == {"badplaces": 12, "heights": 840, "census": 4, "census exit codes": [0] * 4}
+
+
+def test_importing_telemetry_loads_no_other_module():
+    # every library module imports telemetry, so its import is paid on every
+    # run.  The package's __init__ loads every module; a bare package object
+    # in its place shows what telemetry itself pulls in
+    added = _run(
+        "import importlib.util, json, sys, types\n"
+        "spec = importlib.util.find_spec('dynheights')\n"
+        "before = set(sys.modules)\n"
+        "package = types.ModuleType('dynheights')\n"
+        "package.__path__ = list(spec.submodule_search_locations)\n"
+        "sys.modules['dynheights'] = package\n"
+        "import dynheights.telemetry\n"
+        "print(json.dumps(sorted(set(sys.modules) - before)))\n"
+    )
+    assert added == ["dynheights", "dynheights.telemetry"]

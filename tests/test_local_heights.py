@@ -29,6 +29,7 @@ from dynheights.arith import ord_fraction, ord_int
 from dynheights.certified import log_rational_multiple
 from dynheights.local_heights import _arch_steps, _coprime_split, _padic_steps, _residue
 from dynheights.maps_core import BinaryForm, sylvester_cofactor_pair
+from dynheights.telemetry import counting
 
 from conftest import lift, random_lift
 from oracles import (
@@ -276,14 +277,16 @@ def test_padic_orbit_carries_only_the_digits_it_needs():
         return r
 
     F, e = lift([9, 0, 0], [0, 0, 1]), 4  # Res = 3^4
-    ctx = local_heights._context(F, 3)
+    ctx, restarts = local_heights._context(F, 3), 0
     for n, hint, fresh in ((2000, None, True), (1500, "kept", False), (2000, e + 1, False),
                            (700, 3000, False)):
         if hint != "kept":
             ctx.hint = hint
-        start, steps_before, biggest = ctx.hint, ctx.horner_steps, 0
-        steps = _padic_steps(F, Recording(1), Recording(9), 3, n)
-        assert steps == [2] * n and ctx.horner_steps - steps_before >= n
+        start, biggest = ctx.hint, 0
+        with counting() as counts:
+            steps = _padic_steps(F, Recording(1), Recording(9), 3, n)
+        assert steps == [2] * n and counts["horner_steps"] >= n
+        restarts += counts.get("restarts", 0)
         need = sum(steps[:-1]) + e + 1
         if fresh:
             assert digits(biggest) <= 2 * (sum(steps) + e + 1)
@@ -291,19 +294,20 @@ def test_padic_orbit_carries_only_the_digits_it_needs():
             assert digits(biggest) < (n + 1) * e + 2
         else:
             assert digits(biggest) <= max(start, 2 * need), (n, start, digits(biggest))
-    assert ctx.restarts > 0
+    assert restarts > 0
 
 
 def _check_padic_steps(F, p, x0, x1, n, hint=None):
     """The kernel's (m0, steps) on the coprime part of (x0, x1), started at
     the given precision hint, against the per-form loop on (x0, x1) at full
-    precision; returns m0, the steps and the kernel's restarts."""
+    precision; returns m0, the steps and the kernel's work counters."""
     lam, y0, y1 = _coprime_split((x0, x1))
-    ctx = local_heights._context(F, p)
-    ctx.hint, restarts = hint, ctx.restarts
-    m0, steps = ord_fraction(lam, p), _padic_steps(F, y0, y1, p, n)
+    local_heights._context(F, p).hint = hint
+    with counting() as counts:
+        steps = _padic_steps(F, y0, y1, p, n)
+    m0 = ord_fraction(lam, p)
     assert (m0, steps) == padic_steps_by_forms(F, x0, x1, p, n), (F, x0, x1, p, n, hint)
-    return m0, steps, ctx.restarts - restarts
+    return m0, steps, counts
 
 
 def test_padic_steps_match_per_form_oracle():
@@ -338,11 +342,11 @@ def test_padic_steps_match_per_form_oracle():
                 continue
             n = rng.randint(100, 200) if rng.random() < 0.1 else rng.randint(1, 30)
             hint = rng.choice([None, e + 1])
-            m0, steps, restarted = _check_padic_steps(F, p, x0, x1, n, hint)
+            m0, steps, counts = _check_padic_steps(F, p, x0, x1, n, hint)
             seen_e.add(e)
             seen_d.add(d)
             signs.add((m0 > 0) - (m0 < 0))
-            restarts += restarted
+            restarts += counts.get("restarts", 0)
             cases += 1
     assert seen_d == {2, 3, 4} and {1, 2, 3, 4} <= seen_e and signs == {-1, 0, 1}
     assert restarts >= 100
@@ -374,10 +378,10 @@ def test_padic_steps_match_per_form_oracle():
             y0, y1 = _pair_over(rng, p, r) if rng.random() < 0.7 else (rng.randint(-99, 99), 1)
             scale = Fraction(p) ** rng.randint(-2, 2)
             hint = rng.choice([None, e + 1])
-            _, steps, restarted = _check_padic_steps(F, p, y0 * scale, y1 * scale, n, hint)
+            _, steps, counts = _check_padic_steps(F, p, y0 * scale, y1 * scale, n, hint)
             if p < 5:
                 deep += 1
-                restarts += restarted
+                restarts += counts.get("restarts", 0)
             else:
                 near += any(steps)
             seen_n.add(n)
@@ -411,7 +415,7 @@ def test_padic_steps_do_not_depend_on_the_start_precision():
         F, r = _holed_map(rng, p, d)
         if F is None or ord_int(F.resultant, p) == 0:
             continue
-        e, ctx = ord_int(F.resultant, p), local_heights._context(F, p)
+        e = ord_int(F.resultant, p)
         for _ in range(4):
             n = rng.choice([1, 2, 5, 30, 60])
             y0, y1 = _pair_over(rng, p, r) if rng.random() < 0.7 else (rng.randint(-99, 99), 1)
@@ -420,9 +424,9 @@ def test_padic_steps_do_not_depend_on_the_start_precision():
                 continue
             full = (n + 1) * e + 2
             for hint in {e + 1, e + 2, rng.randint(e + 1, full), full}:
-                steps_before = ctx.horner_steps
-                restarts += _check_padic_steps(F, p, x0, x1, n, hint)[2]
-                horner += ctx.horner_steps > steps_before
+                counts = _check_padic_steps(F, p, x0, x1, n, hint)[2]
+                restarts += counts.get("restarts", 0)
+                horner += counts.get("horner_steps", 0) > 0
                 hints.add(hint - e)
             cases += 1
     assert horner >= 500 and restarts >= 100 and {1, 2} <= hints, (horner, restarts)
@@ -488,9 +492,8 @@ def test_rigid_discs_give_the_orbit_valuations():
             g = math.gcd(y0, y1)
             y0, y1 = y0 // g, y1 // g
             scale = Fraction(p) ** rng.randint(-2, 2)
-            steps_before = ctx.horner_steps
-            _, steps, _ = _check_padic_steps(F, p, y0 * scale, y1 * scale, n)
-            horner += ctx.horner_steps > steps_before
+            _, steps, counts = _check_padic_steps(F, p, y0 * scale, y1 * scale, n)
+            horner += counts.get("horner_steps", 0) > 0
             r = _residue(y0, y1, p)
             m, _, reach, _ = ctx.settle(r, n)
             if abs(reach) >= n:

@@ -21,13 +21,13 @@ from dynheights import (
     ord_res_at,
     sylvester_resultant,
 )
+from dynheights import telemetry
 from dynheights.arith import ord_int
 from dynheights.maps_core import _conjugate_forms
 from dynheights.reduction import (
     _ARCH_FAMILY_CAP,
     _arch_best_ratio,
     _arch_conjugator_family,
-    _arch_scan,
     hole_moves,
     neighbor_moves,
     vertex_key,
@@ -361,7 +361,8 @@ def test_each_descent_step_conjugates_the_current_conjugate(monkeypatch):
     for F, p in cases:
         steps.clear()
         evals.clear()
-        cert = minimal_resultant_ord(F, p)
+        with telemetry.counting() as counts:
+            cert = minimal_resultant_ord(F, p)
         phi = Mobius.identity()
         for G, mv, out in steps:
             assert G == real_conjugate(F, phi)
@@ -371,7 +372,7 @@ def test_each_descent_step_conjugates_the_current_conjugate(monkeypatch):
         for G, mv, o in evals:
             assert o == ord_res_by_determinant(G, p, mv)
         assert phi == cert.conjugator
-        assert (cert.descent_steps, cert.ord_res_evals) == (len(steps), len(evals))
+        assert counts == {"descent_steps": len(steps), "ord_res_evals": len(evals)}
         assert cert.ord_min == ord_res_by_determinant(F, p, phi)
         total += len(steps)
     assert total >= 100
@@ -393,9 +394,10 @@ def test_bad_places_on_bench_style_conjugates_takes_no_determinant(monkeypatch):
     for name, mod in list(sys.modules.items()):
         if name.startswith("dynheights") and getattr(mod, "bareiss_det", None) is real:
             monkeypatch.setattr(mod, "bareiss_det", counting)
-    reports = [bad_places(F) for F in maps]
+    with telemetry.counting() as counts:
+        reports = [bad_places(F) for F in maps]
     assert calls == []
-    assert sum(r.stats()["descent_steps"] for r in reports) >= 30
+    assert counts["descent_steps"] >= 30
     # the counter is live: verifying the certificates takes determinants
     assert all(c.verify(F) for F, r in zip(maps, reports) for c in r.certificates)
     assert calls
@@ -485,7 +487,9 @@ def test_arch_skip_matches_the_full_scan():
     assert sum(F.max_abs_coeff() > 10**30 for F in maps) >= 60
     members = conjugated = not_identity = below_cap = 0
     for F in maps:
-        ratio, family, n = _arch_scan(F)
+        with telemetry.counting() as counts:
+            ratio = _arch_best_ratio(F)
+        family, n = counts["arch_family"], counts["arch_conjugated"]
         assert ratio == arch_best_ratio_full_scan(F)
         assert 1 <= n <= family == len(_arch_conjugator_family(F))
         members += family
