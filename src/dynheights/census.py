@@ -336,6 +336,7 @@ def small_height_census(
     Counts the table's pairs as ``energy_pairs`` and its per-place sums as
     ``energy_terms``, both 0 without a table.
     """
+    scan = _scan(F, search_bound)  # first: a box above the cap is refused before h_res
     rh = h_res(F)
     s = len(rh.finite_terms) + 1
     threshold = t_fraction * rh.total / s
@@ -345,7 +346,6 @@ def small_height_census(
         inv = milnor_invariants(F)
         threshold_moduli = t_fraction * inv.moduli_height.value / s
         comparison_row = (rh.finite_part, inv.moduli_height.value)
-    scan = _scan(F, search_bound)
     height = LocalHeights(F, n_iter)
     warnings = [f"orbit budget exhausted at {x}" for x, r in scan if r.status == "undecided"]
     rows = []

@@ -10,9 +10,11 @@ scripts' digits).  Anything else is an ``InputError``.  Points are "[a:b]"
 with ASCII integer entries; rational entries are accepted where an affine
 pair (not a projective point) is expected.
 
-This module also owns hashing: ``sha256_hex`` is the one place that
-imports ``hashlib``, on first use, for ``map_hash`` and for the CLI's
-manifest digest.
+This module also owns hashing: ``sha256_hex``, for ``map_hash`` and for
+the CLI's manifest digest, takes SHA-256 on first use from the
+interpreter's built-in module (``_sha2``, or ``_sha256`` before 3.12), and
+from ``hashlib``, which maps OpenSSL's libcrypto, only on a build without
+it.
 """
 
 from __future__ import annotations
@@ -105,10 +107,22 @@ def parse_pair(text: str) -> tuple:
 
 
 def sha256_hex(text: str) -> str:
-    """SHA-256 of the UTF-8 bytes of text, as 64 hex digits."""
-    import hashlib  # on first use: the library path must not load OpenSSL (libcrypto)
+    """SHA-256 of the UTF-8 bytes of text, as 64 hex digits.
 
-    return hashlib.sha256(text.encode()).hexdigest()
+    The constructor is the interpreter's own, as CPython's random.py takes
+    sha512: importing hashlib maps libcrypto (about 3.7 MiB of RSS under
+    CPython 3.11 on Linux).
+    """
+    import sys
+
+    try:
+        if sys.version_info >= (3, 12):
+            from _sha2 import sha256
+        else:
+            from _sha256 import sha256
+    except ImportError:  # a build without the built-in modules
+        from hashlib import sha256
+    return sha256(text.encode()).hexdigest()
 
 
 def map_hash(F: HomogeneousLift) -> str:

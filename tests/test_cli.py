@@ -311,6 +311,13 @@ def test_preperiodic_scan_stops_at_the_proven_bound(map_file):
 #: a cubic whose preperiodic height bound, about 32.6, clips --bound 1e300 to
 #: a box of radius about 1.5e14
 BIG_BOX_CUBIC = {"d": 3, "P": ["596070", "0", "0", "-1"], "Q": ["-11", "36", "17", "-35"]}
+#: a cubic whose Res has 79 digits: factoring it, which h_res needs, takes
+#: far longer than the 10 s the radius-cap test allows
+HARD_RES_CUBIC = {
+    "d": 3,
+    "P": ["-181108", "-913908", "-10", "-100000000000000000"],
+    "Q": ["19", "0", "100000000000000000", "3"],
+}
 
 
 @pytest.mark.parametrize(
@@ -320,12 +327,15 @@ BIG_BOX_CUBIC = {"d": 3, "P": ["596070", "0", "0", "-1"], "Q": ["-11", "36", "17
         ({"d": 2, "P": ["6", "0", "1"], "Q": ["0", "0", "6"]}, ["census", "--bound", "20"]),
         ({"d": 2, "P": ["6", "0", "1"], "Q": ["0", "0", "6"]}, ["census", "--bound", "1e300"]),
         (Z2_MINUS_1, ["gap", "--bound", "7"]),
+        (HARD_RES_CUBIC, ["census", "--bound", "20"]),
     ],
-    ids=["preperiodic", "census", "census-past-the-float-range", "gap"],
+    ids=["preperiodic", "census", "census-past-the-float-range", "gap",
+         "census-before-factoring-res"],
 )
 def test_search_box_above_the_radius_cap_exits_3(map_file, obj, argv):
     # boxes of radius 1.5e14 (preperiodic, after clipping) and e^20 once ran
-    # for hours, and e^1e300 failed with "math range error"
+    # for hours, and e^1e300 failed with "math range error".  The census
+    # refuses its box before h_res, which would first factor Res
     from dynheights import preperiodic_height_bound
     from dynheights.formats import load_map
 
@@ -808,9 +818,9 @@ def test_census_without_an_energy_table_counts_it_at_zero(map_file, bound):
 
 def test_main_leaves_no_counting_sink_behind(map_file):
     # the benchmark's census worker calls cli.main in one process, call after
-    # call.  Both failures below leave the command after some counts: compare
-    # after the quadratic's h_res (exit 2 on the cubic), census after h_res
-    # (exit 3 at the box cap)
+    # call.  Both failures below leave the command inside the sink: compare
+    # after the quadratic's h_res has counted (exit 2 on the cubic), census
+    # before any count (exit 3 at the box cap)
     from dynheights import telemetry
 
     sixth = map_file(SIXTH, "sixth.json")
@@ -829,6 +839,58 @@ def test_main_leaves_no_counting_sink_behind(map_file):
     assert _manifest(err)["stats"] == _manifest(fresh.stderr)["stats"] == {
         "descent_steps": 2, "ord_res_evals": 4,
     }
+
+
+def test_census_refuses_a_box_above_the_cap_before_h_res(map_file, monkeypatch):
+    from dynheights import census
+
+    calls = []
+    monkeypatch.setattr(census, "h_res", lambda F: calls.append(F))
+    code, out, err = _main_in_process(["census", "--map", map_file(SIXTH), "--bound", "20"])
+    assert (code, out, calls) == (3, "", [])
+    assert err.startswith("error: search box radius floor(e^20) exceeds the cap 1000")
+
+
+@pytest.mark.parametrize(
+    "ns", [1_790_000_000 * 10**9 + 123_456_789, 1_790_000_000 * 10**9 + 999],
+    ids=["microseconds", "microsecond-0"],
+)
+def test_manifest_timestamp_is_the_isoformat_of_the_clock(map_file, monkeypatch, ns):
+    from datetime import datetime, timezone
+
+    monkeypatch.setattr(time, "time_ns", lambda: ns)
+    code, _, err = _main_in_process(["resultant", "--map", map_file(MONOMIAL)])
+    seconds, us = ns // 10**9, ns % 10**9 // 1000
+    want = datetime.fromtimestamp(seconds, timezone.utc).replace(microsecond=us).isoformat()
+    assert code == 0 and _manifest(err)["timestamp"] == want
+    assert want.endswith(".123456+00:00" if us else ":20+00:00")
+
+
+#: texts for the digest tests: empty, ASCII, non-ASCII and 100 KB
+DIGEST_TEXTS = ["", "2|1|0|0|0|0|1", "h\u00e2t \u2264 c\u2081/s \U0001d4d7", "0123456789" * 10_240]
+
+
+def test_sha256_hex_is_hashlibs_sha256():
+    from dynheights.formats import sha256_hex
+
+    for text in DIGEST_TEXTS:
+        assert sha256_hex(text) == hashlib.sha256(text.encode()).hexdigest()
+
+
+def test_sha256_hex_falls_back_to_hashlib_without_the_builtin_modules():
+    proc = subprocess.run(
+        [sys.executable, "-c",
+         "import json, sys\n"
+         "sys.modules['_sha2'] = sys.modules['_sha256'] = None\n"
+         "from dynheights.formats import sha256_hex\n"
+         "digests = [sha256_hex(text) for text in json.load(sys.stdin)]\n"
+         "print(json.dumps(['hashlib' in sys.modules, digests]))\n"],
+        input=json.dumps(DIGEST_TEXTS), capture_output=True, text=True, timeout=60,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout) == [
+        True, [hashlib.sha256(text.encode()).hexdigest() for text in DIGEST_TEXTS],
+    ]
 
 
 def test_badplaces_manifest_counts_the_descent(map_file):

@@ -5,7 +5,11 @@ fresh interpreter.  One imports ``dynheights.cli`` and lists every module the
 import added.  One imports it, then runs ``canonical_height``, ``bad_places``,
 ``green_pairing`` and ``verify_escape`` on maps with bad primes, and checks
 that none of ``hashlib`` (which maps OpenSSL), ``datetime`` and ``csv`` was
-loaded: the CLI loads those on first use.  One imports
+loaded.  One runs ``cli.main`` for ``census`` (with and without a manifest
+file), ``compare``, ``badplaces`` and ``height`` and checks that no command
+loads ``hashlib`` or ``datetime`` (SHA-256 comes from the interpreter's
+built-in module, the manifest's timestamp from ``time``), and that ``csv``
+loads for ``census --format csv`` alone.  One imports
 ``dynheights.telemetry`` behind a bare package object and checks that it
 loads no other module.  One imports the benchmark's
 ``checks``, which reads two names of the package.  The others block sympy
@@ -53,8 +57,10 @@ def test_importing_the_cli_loads_only_the_package_and_the_standard_library():
     assert foreign == []
 
 
-#: loaded on first use only (a digest, the CLI manifest, CSV output); hashlib maps libcrypto
-CLI_ONLY_MODULES = ["_hashlib", "csv", "datetime", "hashlib"]
+#: loaded by no command: hashlib maps OpenSSL's libcrypto
+NEVER_LOADED_MODULES = ["_hashlib", "datetime", "hashlib"]
+#: loaded on first use only, by census --format csv
+CLI_ONLY_MODULES = ["csv"]
 
 
 def test_the_library_path_loads_no_cli_only_module(tmp_path):
@@ -83,7 +89,40 @@ def test_the_library_path_loads_no_cli_only_module(tmp_path):
         "print(json.dumps(sorted(set(sys.modules) - before)))\n"
     )
     assert "dynheights.cli" in added
-    assert [m for m in CLI_ONLY_MODULES if m in added] == []
+    assert [m for m in NEVER_LOADED_MODULES + CLI_ONLY_MODULES if m in added] == []
+
+
+def test_cli_commands_load_neither_hashlib_nor_datetime(tmp_path):
+    sixth = {"d": 2, "P": ["6", "0", "1"], "Q": ["0", "0", "6"]}  # z^2 + 1/6
+    half = {"d": 2, "P": ["2", "0", "1"], "Q": ["0", "0", "2"]}  # z^2 + 1/2
+    paths = {}
+    for name, obj in (("sixth", sixth), ("half", half)):
+        paths[name] = str(tmp_path / f"{name}.json")
+        Path(paths[name]).write_text(json.dumps(obj))
+    census = ["census", "--map", paths["sixth"], "--bound", "1.2"]
+    calls = [
+        census,
+        ["--manifest", str(tmp_path / "manifest.json")] + census,
+        ["compare", "--map", paths["sixth"], "--map", paths["half"]],
+        ["badplaces", "--map", paths["sixth"]],
+        ["height", "--map", paths["sixth"], "--point", "[3:7]"],
+        census + ["--format", "csv"],
+    ]
+    got = _run(
+        "import contextlib, io, json, sys\n"
+        "from dynheights import cli\n"
+        f"watched = {NEVER_LOADED_MODULES + CLI_ONLY_MODULES!r}\n"
+        "got = []\n"
+        "for argv in json.load(sys.stdin):\n"
+        "    with contextlib.redirect_stdout(io.StringIO()), "
+        "contextlib.redirect_stderr(io.StringIO()):\n"
+        "        code = cli.main(argv)\n"
+        "    got.append([code, [m for m in watched if m in sys.modules]])\n"
+        "print(json.dumps(got))\n",
+        stdin=json.dumps(calls),
+    )
+    assert got == [[0, []]] * 5 + [[0, CLI_ONLY_MODULES]]
+    assert json.loads((tmp_path / "manifest.json").read_text())["command"] == "census"
 
 
 PUBLIC_NAMES = [
